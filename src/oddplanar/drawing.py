@@ -59,14 +59,20 @@ class Dart:
 
 
 def _norm_cyclic(seq: tuple) -> tuple:
-    """Rotate a cyclic tuple so its lexicographically least rotation is stored."""
+    """Rotate a cyclic tuple so its lexicographically least rotation is stored.
+
+    That rotation starts at a copy of the minimum; only when the minimum
+    repeats do the rotations starting at its other copies get compared."""
     if len(seq) <= 1:
         return seq
-    best = None
-    for i in range(len(seq)):
-        cand = seq[i:] + seq[:i]
-        if best is None or cand < best:
-            best = cand
+    low = min(seq)
+    i = seq.index(low)
+    best = seq[i:] + seq[:i]
+    for j in range(i + 1, len(seq)):
+        if seq[j] == low:
+            cand = seq[j:] + seq[:j]
+            if cand < best:
+                best = cand
     return best
 
 
@@ -400,7 +406,7 @@ class Drawing:
                 continue
             ok = True
             for q in range(0, len(p), 2):
-                if self.theta[p[q]] != p[q + 1]:
+                if self.theta.get(p[q]) != p[q + 1]:
                     bad.append(Violation("BadEdgePath", f"edge {eid} segment {q // 2} not theta-paired"))
                     ok = False
             for d in p:
@@ -514,8 +520,14 @@ class Drawing:
 
     def odd_degree(self, e: int) -> int:
         """Number of other edges crossing e an odd number of times."""
-        pairs, _ = self._counts()
-        return sum(1 for (a, b), v in pairs.items() if v % 2 and e in (a, b))
+        return self._odd_degrees().get(e, 0)
+
+    def _odd_degrees(self) -> dict[int, int]:
+        deg: dict[int, int] = {}
+        for a, b in self.odd_pairs():
+            deg[a] = deg.get(a, 0) + 1
+            deg[b] = deg.get(b, 0) + 1
+        return deg
 
     def parity_sketch(self) -> "ParitySketch":
         return ParitySketch(
@@ -528,6 +540,7 @@ class Drawing:
         pairs, selfs = self._counts()
         adjacent = {k for k in pairs if self.graph.adjacent(*k)}
         odd = {k for k, v in pairs.items() if v % 2}
+        odd_deg = self._odd_degrees()
         total_self = sum(selfs.values())
         cr0 = sum(pairs.values()) + total_self
         crm = sum(v for k, v in pairs.items() if k not in adjacent)
@@ -542,14 +555,15 @@ class Drawing:
             ocr_rule_minus=len(odd - adjacent),
             plus_admissible=not (adjacent & {k for k, v in pairs.items() if v}),
             star_admissible=not (adjacent & odd),
-            odd_degree={e: self.odd_degree(e) for e in self.graph.edge_ids()},
+            odd_degree={e: odd_deg.get(e, 0) for e in self.graph.edge_ids()},
         )
 
     def is_k_plane(self, k: int) -> bool:
         return all(self.crossings_on_edge(e) <= k for e in self.graph.edge_ids())
 
     def is_k_odd_plane(self, k: int) -> bool:
-        return all(self.odd_degree(e) <= k for e in self.graph.edge_ids())
+        deg = self._odd_degrees()
+        return all(deg.get(e, 0) <= k for e in self.graph.edge_ids())
 
     # ------------------------------------------------------------------
     # Inherited drawings (edge/vertex removal, unions)
@@ -710,6 +724,10 @@ class ParitySketch:
         for eid, (u, v) in self.edges:
             if seen.get((eid, 0)) != u or seen.get((eid, 1)) != v:
                 raise ValueError(f"rotation endings of edge {eid} do not match its endpoints")
+        # O(1) lookup indexes; not fields, so equality and hashing ignore them.
+        object.__setattr__(self, "_ends", dict(self.edges))
+        object.__setattr__(self, "_rot", dict(self.rotation))
+        object.__setattr__(self, "_odd_edges", frozenset(e for p in self.odd_pairs for e in p))
 
     def parity(self, e: int, f: int) -> int:
         if e == f:
@@ -720,19 +738,19 @@ class ParitySketch:
         return tuple(e for e, _ in self.edges)
 
     def endpoints(self, eid: int) -> tuple[int, int]:
-        for e, uv in self.edges:
-            if e == eid:
-                return uv
-        raise KeyError(f"unknown edge id {eid}")
+        try:
+            return self._ends[eid]
+        except KeyError:
+            raise KeyError(f"unknown edge id {eid}") from None
 
     def vertex_rotation(self, v: int) -> tuple[Ending, ...]:
-        for w, endings in self.rotation:
-            if w == v:
-                return endings
-        raise KeyError(f"unknown vertex id {v}")
+        try:
+            return self._rot[v]
+        except KeyError:
+            raise KeyError(f"unknown vertex id {v}") from None
 
     def is_even_edge(self, eid: int) -> bool:
-        return all(eid not in p for p in self.odd_pairs)
+        return eid not in self._odd_edges
 
     def vertices(self) -> tuple[int, ...]:
         return tuple(v for v, _ in self.rotation)

@@ -36,6 +36,7 @@ class Multigraph:
                 raise ValueError(f"edge {eid} references unknown vertex")
         object.__setattr__(self, "vertices", tuple(sorted(self.vertices)))
         object.__setattr__(self, "edges", tuple(sorted(self.edges)))
+        object.__setattr__(self, "_ends", dict(self.edges))  # O(1) endpoint index
 
     # -- basic queries ----------------------------------------------------
 
@@ -51,10 +52,10 @@ class Multigraph:
         return tuple(eid for eid, _ in self.edges)
 
     def endpoints(self, eid: int) -> tuple[int, int]:
-        for e, uv in self.edges:
-            if e == eid:
-                return uv
-        raise KeyError(f"unknown edge id {eid}")
+        try:
+            return self._ends[eid]
+        except KeyError:
+            raise KeyError(f"unknown edge id {eid}") from None
 
     def is_loop(self, eid: int) -> bool:
         u, v = self.endpoints(eid)

@@ -12,13 +12,28 @@ For loops at a single vertex the crossing parity of two loops is forced
 by the rotation: the pair is odd iff the endings of one interleave with
 the endings of the other.  ``interleaving_parity`` implements that
 predicate directly and doubles as the independent test oracle for the
-redrawing output.
+redrawing output; ``interleaving_pairs`` lists the whole relation in one
+sweep.
+
+Cost.  ``theorem2_transform`` is near-linear apart from the size of what
+it returns (the crossings it draws and the split records, whose blocks
+list the rotation of each merged vertex).  Contraction and splitting work
+in place on a mutable rotation system and route view, each step linear in
+the degrees involved; each component is materialized once, as its
+one-vertex redrawing (g3), and g4 is built from the split route views in
+a single call.  The elimination order takes O(L log L) for L loops when
+no two loops alternate; a loop blocked by alternating loops may be
+re-examined once per loop nested in it.  The proof self-checks all stay:
+the parity of every loop pair is compared with the carried relation in
+one sweep, and every split re-checks its record.
 """
 from __future__ import annotations
 
+import heapq
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 
-from .drawing import Drawing, Ending, ParitySketch, merge_disjoint
+from .drawing import Drawing, Ending, ParitySketch
 from .graphs import Multigraph
 
 
@@ -58,6 +73,36 @@ def interleaving_parity(rotation: tuple[Ending, ...], e: int, f: int) -> int:
         raise ValueError("both edges must be loops of the rotation")
     a, b = pe
     return 1 if (a < pf[0] < b) != (a < pf[1] < b) else 0
+
+
+def interleaving_pairs(rotation: tuple[Ending, ...]) -> set[tuple[int, int]]:
+    """Every pair (e, f), e < f, of loops whose endings alternate in the
+    rotation, in one sweep.  The loops opened but not yet closed are kept
+    in opening order as a linked list; when a loop closes, exactly the open
+    loops opened after it alternate with it.  Linear in the rotation plus
+    the number of pairs returned."""
+    nxt: dict = {None: None}  # None is the head of the list
+    prv: dict = {}
+    tail = None
+    out: set[tuple[int, int]] = set()
+    for eid, _ in rotation:
+        if eid not in prv:
+            prv[eid] = tail
+            nxt[tail] = eid
+            nxt[eid] = None
+            tail = eid
+            continue
+        f = nxt[eid]
+        while f is not None:
+            out.add((eid, f) if eid < f else (f, eid))
+            f = nxt[f]
+        before, after = prv[eid], nxt[eid]
+        nxt[before] = after
+        if after is None:
+            tail = before
+        else:
+            prv[after] = before
+    return out
 
 
 @dataclass(frozen=True)
@@ -107,6 +152,92 @@ class OneVertexSketch:
         return Multigraph((v,), tuple((eid, (v, v)) for eid in self.loops))
 
 
+def check_sketch_parity(sketch: OneVertexSketch, odd_pairs: frozenset[tuple[int, int]]) -> None:
+    """The pipeline's self-check after contraction: two loops of the
+    contracted rotation interleave exactly when the carried relation
+    ``odd_pairs`` (pairs stored as (min, max)) calls them odd.  Every pair
+    of loops is compared, by one sweep over the rotation."""
+    loops = set(sketch.loops)
+    carried = {(e, f) for e, f in odd_pairs if e in loops and f in loops}
+    assert interleaving_pairs(sketch.rotation) == carried, (
+        "contracted rotation parity disagrees with the carried matrix"
+    )
+
+
+def elimination_order(span: dict[int, tuple[int, int]]) -> list[int]:
+    """Repeatedly take the nesting-minimal loop with the smallest id: the
+    lexicographically least order in which every loop follows the loops
+    nested in it.  ``span`` maps each loop to its two (distinct) ending
+    positions a < b in the linearized rotation; f is nested in e when
+    a_e < a_f and b_f < b_e.
+
+    Kahn's algorithm with a min-heap of the loops that contain no remaining
+    loop.  A blocked loop waits on one witness, the remaining nested loop
+    that starts leftmost, found by descending a min segment tree that holds
+    each remaining loop's end position at its start position; it is
+    re-examined only when its witness is taken.  O(L log L) when no two
+    loops alternate.
+    """
+    inf = 2 * len(span)
+    size = 1
+    while size < inf:
+        size *= 2
+    tree = [inf] * (2 * size)
+    loop_at: dict[int, int] = {}
+    for e, (a, b) in span.items():
+        tree[size + a] = b
+        loop_at[a] = e
+    for i in range(size - 1, 0, -1):
+        tree[i] = min(tree[2 * i], tree[2 * i + 1])
+
+    def first_nested(e: int) -> int | None:
+        a, b = span[e]
+        lo, hi = size + a + 1, size + b
+        left: list[int] = []
+        right: list[int] = []
+        while lo < hi:
+            if lo & 1:
+                left.append(lo)
+                lo += 1
+            if hi & 1:
+                hi -= 1
+                right.append(hi)
+            lo >>= 1
+            hi >>= 1
+        for node in left + right[::-1]:
+            if tree[node] < b:
+                while node < size:
+                    node = 2 * node if tree[2 * node] < b else 2 * node + 1
+                return loop_at[node - size]
+        return None
+
+    heap: list[int] = []
+    waiting: dict[int, list[int]] = {}
+
+    def place(e: int) -> None:
+        w = first_nested(e)
+        if w is None:
+            heapq.heappush(heap, e)
+        else:
+            waiting.setdefault(w, []).append(e)
+
+    for e in span:
+        place(e)
+    order: list[int] = []
+    while heap:
+        f = heapq.heappop(heap)
+        order.append(f)
+        i = size + span[f][0]
+        tree[i] = inf
+        i >>= 1
+        while i:
+            tree[i] = min(tree[2 * i], tree[2 * i + 1])
+            i >>= 1
+        for e in waiting.pop(f, ()):
+            place(e)
+    return order
+
+
 def lemma1_redraw(sketch: OneVertexSketch) -> Drawing:
     """Redraw the loops so that the rotation is unchanged, even pairs do
     not cross, odd pairs cross exactly once, and nothing crosses itself.
@@ -128,27 +259,16 @@ def lemma1_redraw(sketch: OneVertexSketch) -> Drawing:
         span[eid] = (p0, p1)
         minus_end[eid] = lin[p0][1]
 
-    # Elimination order: repeatedly pick the nesting-minimal loop
-    # (smallest edge id among minimal ones).
-    remaining = set(sketch.loops)
-    order: list[int] = []
-    while remaining:
-        minimal = []
-        for e in remaining:
-            a, b = span[e]
-            if not any(a < span[f][0] and span[f][1] < b for f in remaining if f != e):
-                minimal.append(e)
-        pick = min(minimal)
-        order.append(pick)
-        remaining.remove(pick)
+    order = elimination_order(span)
 
     # Insert in reverse elimination order; routes run minus -> plus.
     routes: dict[int, list] = {e: [] for e in sketch.loops}
     spins: dict[tuple, bool] = {}
-    inserted: set[int] = set()
+    inserted_at: list[int] = []  # sorted positions of the inserted loops' endings
     for e in reversed(order):
         a, b = span[e]
-        crossed = [lin[i] for i in range(a + 1, b) if lin[i][0] in inserted]
+        inside = inserted_at[bisect_right(inserted_at, a) : bisect_left(inserted_at, b)]
+        crossed = [lin[i] for i in inside]
         hit_loops = [f for f, _ in crossed]
         assert len(set(hit_loops)) == len(hit_loops), "minimal loop crossed a loop twice"
         for f, f_end in crossed:
@@ -160,7 +280,8 @@ def lemma1_redraw(sketch: OneVertexSketch) -> Drawing:
             else:
                 routes[f].append(key)
             spins[key] = (e < f) != is_minus
-        inserted.add(e)
+        insort(inserted_at, a)
+        insort(inserted_at, b)
 
     # Convert minus->plus routes to the stored end0->end1 direction.
     flips: dict[tuple, int] = {k: 0 for k in spins}
@@ -241,18 +362,19 @@ def _rotate_to_front(rot: tuple[Ending, ...], token: Ending) -> tuple[Ending, ..
     return rot[i:] + rot[:i]
 
 
-def contract_even_edge(sk: ParitySketch, eid: int, target: int) -> tuple[ParitySketch, SplitRecord]:
-    """Slide one endpoint of an even edge along it onto the other.
-
-    The rotations concatenate: if the cyclic orders were (e, e1..ea) at
-    the kept endpoint and (e, f1..fb) at the absorbed one, the merged
-    vertex reads e1..ea f1..fb.  The parity relation on the surviving
-    edges is exactly unchanged.
-    """
-    u, v = sk.endpoints(eid)
+def _contract(
+    rotation: dict[int, tuple[Ending, ...]],
+    edges: dict[int, tuple[int, int]],
+    odd_edges: frozenset[int],
+    eid: int,
+    target: int,
+) -> SplitRecord:
+    """One contraction on a mutable rotation system, in time linear in the
+    degrees of the two endpoints; returns the record that undoes it."""
+    u, v = edges[eid]
     if u == v:
         raise ContractLoop(f"edge {eid} is a loop")
-    if not sk.is_even_edge(eid):
+    if eid in odd_edges:
         raise ContractOddEdge(f"edge {eid} is in an odd pair")
     if target == u:
         other = v
@@ -263,71 +385,85 @@ def contract_even_edge(sk: ParitySketch, eid: int, target: int) -> tuple[ParityS
     else:
         raise ValueError(f"target {target} is not an endpoint of edge {eid}")
 
-    rot_u = _rotate_to_front(sk.vertex_rotation(target), (eid, end_at_u))[1:]
-    rot_v = _rotate_to_front(sk.vertex_rotation(other), (eid, 1 - end_at_u))[1:]
-    merged = rot_u + rot_v
+    rot_u = _rotate_to_front(rotation[target], (eid, end_at_u))[1:]
+    rot_v = _rotate_to_front(rotation.pop(other), (eid, 1 - end_at_u))[1:]
+    rotation[target] = rot_u + rot_v
+    del edges[eid]
+    for g, end in rot_v:
+        a, b = edges[g]
+        edges[g] = (target, b) if end == 0 else (a, target)
+    return SplitRecord(target, target, other, eid, end_at_u, rot_u, rot_v)
 
-    rotation = []
-    for w, endings in sk.rotation:
-        if w == target:
-            rotation.append((w, merged))
-        elif w != other:
-            rotation.append((w, endings))
-    edges = []
-    for g, (a, b) in sk.edges:
-        if g == eid:
-            continue
-        edges.append((g, (target if a == other else a, target if b == other else b)))
-    sk2 = ParitySketch(tuple(sorted(rotation)), sk.odd_pairs, tuple(sorted(edges)))
-    rec = SplitRecord(target, target, other, eid, end_at_u, rot_u, rot_v)
+
+def contract_even_edge(sk: ParitySketch, eid: int, target: int) -> tuple[ParitySketch, SplitRecord]:
+    """Slide one endpoint of an even edge along it onto the other.
+
+    The rotations concatenate: if the cyclic orders were (e, e1..ea) at
+    the kept endpoint and (e, f1..fb) at the absorbed one, the merged
+    vertex reads e1..ea f1..fb.  The parity relation on the surviving
+    edges is exactly unchanged.
+    """
+    rotation, edges = dict(sk.rotation), dict(sk.edges)
+    odd_edges = frozenset(e for pair in sk.odd_pairs for e in pair)
+    rec = _contract(rotation, edges, odd_edges, eid, target)
+    sk2 = ParitySketch(tuple(sorted(rotation.items())), sk.odd_pairs, tuple(sorted(edges.items())))
     return sk2, rec
+
+
+def _split(
+    vrot: dict[int, tuple[Ending, ...]],
+    edges: dict[int, tuple[int, int]],
+    routes: dict[int, tuple],
+    rec: SplitRecord,
+) -> None:
+    """One vertex split on a mutable route view (its vertex set is the keys
+    of ``vrot``), in time linear in the degree of the merged vertex."""
+    if rec.merged not in vrot:
+        raise InconsistentSplit(f"vertex {rec.merged} not present")
+    if rec.v in vrot and rec.v != rec.merged:
+        raise InconsistentSplit(f"vertex id {rec.v} already in use")
+    current = vrot[rec.merged]
+    target_seq = rec.u_block + rec.v_block
+    if len(current) != len(target_seq):
+        raise InconsistentSplit("rotation size does not match the record")
+    if target_seq and (
+        target_seq[0] not in current or _rotate_to_front(current, target_seq[0]) != target_seq
+    ):
+        raise InconsistentSplit("record blocks are not contiguous in the rotation")
+
+    u, v = rec.u, rec.v
+    end_u = rec.edge_end_at_u
+    vrot[u] = ((rec.edge, end_u),) + rec.u_block
+    vrot[v] = ((rec.edge, 1 - end_u),) + rec.v_block
+    for g, end in rec.v_block:
+        a, b = edges[g]
+        edges[g] = (v, b) if end == 0 else (a, v)
+    edges[rec.edge] = (u, v) if end_u == 0 else (v, u)
+    routes[rec.edge] = ()
 
 
 def split_vertex(d: Drawing, rec: SplitRecord) -> Drawing:
     """Inverse of contraction on a concrete drawing: pull the merged
     vertex apart into two close vertices joined by the restored edge,
     which is drawn without crossings."""
-    if rec.merged not in d.graph.vertices:
-        raise InconsistentSplit(f"vertex {rec.merged} not present")
-    if rec.v in d.graph.vertices and rec.v != rec.merged:
-        raise InconsistentSplit(f"vertex id {rec.v} already in use")
-    current = d.vertex_endings(rec.merged)
-    target_seq = rec.u_block + rec.v_block
-    if len(current) != len(target_seq):
-        raise InconsistentSplit("rotation size does not match the record")
-    aligned = None
-    for r in range(max(1, len(current))):
-        if current[r:] + current[:r] == target_seq:
-            aligned = True
-            break
-    if not aligned:
-        raise InconsistentSplit("record blocks are not contiguous in the rotation")
-
     vrot, routes, spins = d.route_view()
-    u, v = rec.u, rec.v
-    end_u = rec.edge_end_at_u
-    vrot = dict(vrot)
-    vrot[u] = ((rec.edge, end_u),) + rec.u_block
-    vrot[v] = ((rec.edge, 1 - end_u),) + rec.v_block
-
-    moved = {(g, end) for g, end in rec.v_block}
-    new_edges = []
-    for g, (a, b) in d.graph.edges:
-        na = v if (g, 0) in moved else a
-        nb = v if (g, 1) in moved else b
-        new_edges.append((g, (na, nb)))
-    uv = (u, v) if end_u == 0 else (v, u)
-    new_edges.append((rec.edge, uv))
-    g2 = Multigraph(tuple(sorted(set(d.graph.vertices) | {v})), tuple(sorted(new_edges)))
-
-    routes = dict(routes)
-    routes[rec.edge] = ()
+    vrot, routes, edges = dict(vrot), dict(routes), dict(d.graph.edges)
+    _split(vrot, edges, routes, rec)
+    g2 = Multigraph(tuple(sorted(vrot)), tuple(sorted(edges.items())))
     return Drawing.from_routes(g2, vrot, routes, spins, validate=False)
 
 
 # ---------------------------------------------------------------------------
 # Maximal even forests and the main pipeline
 # ---------------------------------------------------------------------------
+
+
+def _find(parent: dict[int, int], x: int) -> int:
+    """Union-find root of x, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 def max_even_forest(d: Drawing) -> frozenset[int]:
@@ -338,25 +474,21 @@ def max_even_forest(d: Drawing) -> frozenset[int]:
     an odd number of times (otherwise it would have been taken when
     examined), which is the maximality the pipeline relies on.
     """
-    odd = d.odd_pairs()
+    odd_partners: dict[int, list[int]] = {}
+    for a, b in d.odd_pairs():
+        odd_partners.setdefault(a, []).append(b)
+        odd_partners.setdefault(b, []).append(a)
     parent = {v: v for v in d.graph.vertices}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    forest: list[int] = []
+    forest: set[int] = set()
     for eid, (u, v) in d.graph.edges:
         if u == v:
             continue
-        ru, rv = find(u), find(v)
+        ru, rv = _find(parent, u), _find(parent, v)
         if ru == rv:
             continue
-        if any((min(eid, f), max(eid, f)) in odd for f in forest):
+        if any(f in forest for f in odd_partners.get(eid, ())):
             continue
-        forest.append(eid)
+        forest.add(eid)
         parent[ru] = rv
     return frozenset(forest)
 
@@ -391,58 +523,60 @@ def theorem2_transform(d: Drawing, k: int) -> PipelineTrace:
     if k < 0 or not d.is_k_odd_plane(k):
         raise NotKOddPlane(f"drawing is not {k}-odd-plane")
 
-    sk = d.parity_sketch()
     forest = max_even_forest(d)
+    # Forest edges cross each other evenly, so an odd pair touching the
+    # forest names exactly one forest edge and one edge to remove.
     removed = frozenset(
-        g
-        for g in d.graph.edge_ids()
-        if g not in forest and any(sk.parity(g, f) for f in forest)
+        b if a in forest else a for a, b in d.odd_pairs() if (a in forest) != (b in forest)
     )
     g1 = d.remove_edges(removed)
 
     # Forest components partition the vertices; removal confined every
     # surviving edge to a single component.
-    comp_of: dict[int, int] = {}
-    comps: list[tuple[int, ...]] = []
     parent = {v: v for v in d.graph.vertices}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for eid in sorted(forest):
         u, v = d.graph.endpoints(eid)
-        parent[find(u)] = find(v)
+        parent[_find(parent, u)] = _find(parent, v)
     groups: dict[int, list[int]] = {}
     for v in d.graph.vertices:
-        groups.setdefault(find(v), []).append(v)
+        groups.setdefault(_find(parent, v), []).append(v)
     comps = [tuple(sorted(g)) for g in sorted(groups.values())]
-    for i, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = i
+    comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
     n_removed_bound = k * (d.graph.n - len(comps))
     assert len(removed) <= n_removed_bound, (
         f"removed {len(removed)} edges, proof allows {n_removed_bound}"
     )
+    comp_edges: list[dict[int, tuple[int, int]]] = [{} for _ in comps]
     for eid, (u, v) in g1.graph.edges:
         assert comp_of[u] == comp_of[v], "surviving edge straddles forest components"
+        comp_edges[comp_of[u]][eid] = (u, v)
+    edge_counts = tuple(len(edges) for edges in comp_edges)
+    trees: list[list[int]] = [[] for _ in comps]
+    for f in sorted(forest):
+        trees[comp_of[d.graph.endpoints(f)[0]]].append(f)
+    odd = g1.odd_pairs()
+    odd_edges = frozenset(e for pair in odd for e in pair)
 
     sketches: list[OneVertexSketch] = []
     stacks: list[tuple[SplitRecord, ...]] = []
     g3: list[Drawing] = []
-    g4_parts: list[Drawing] = []
-    for comp in comps:
-        part = g1.induced_subdrawing(set(comp))
-        sub_sk = part.parity_sketch()
-        tree = sorted(f for f in forest if d.graph.endpoints(f)[0] in comp)
+    # Route view of g4, assembled component by component and materialized once.
+    vrot4: dict[int, tuple[Ending, ...]] = {}
+    edges4: dict[int, tuple[int, int]] = {}
+    routes4: dict[int, tuple] = {}
+    spins4: dict = {}
+    for i, comp in enumerate(comps):
+        # The component's parity sketch, contracted in place: vertex
+        # rotations and current edge endpoints.
+        rotation = {v: g1.vertex_endings(v) for v in comp}
+        edges = comp_edges[i]
+        tree = trees[i]
 
         root = comp[0]
         # BFS order over the tree, child contracted into the merged parent.
         adj: dict[int, list[tuple[int, int]]] = {v: [] for v in comp}
         for f in tree:
-            a, b = part.graph.endpoints(f)
+            a, b = edges[f]
             adj[a].append((b, f))
             adj[b].append((a, f))
         seen = {root}
@@ -461,31 +595,30 @@ def theorem2_transform(d: Drawing, k: int) -> PipelineTrace:
 
         stack: list[SplitRecord] = []
         for f, child in bfs_edges:
-            a, b = sub_sk.endpoints(f)
+            a, b = edges[f]
             target = a if b == child else b
-            sub_sk, rec = contract_even_edge(sub_sk, f, target)
-            stack.append(rec)
-        assert sub_sk.vertices() == (root,)
+            stack.append(_contract(rotation, edges, odd_edges, f, target))
+        assert list(rotation) == [root]
 
-        rotation = sub_sk.vertex_rotation(root)
-        sketch = OneVertexSketch(root, rotation)
-        for e in sketch.loops:
-            for f in sketch.loops:
-                if e < f:
-                    assert sketch.parity(e, f) == sub_sk.parity(e, f), (
-                        "contracted rotation parity disagrees with the carried matrix"
-                    )
+        sketch = OneVertexSketch(root, rotation[root])
+        check_sketch_parity(sketch, odd)
         redrawn = lemma1_redraw(sketch)
         sketches.append(sketch)
         stacks.append(tuple(stack))
         g3.append(redrawn)
 
-        restored = redrawn
+        vrot, routes, spins = redrawn.route_view()
+        vrot, routes, edges = dict(vrot), dict(routes), dict(redrawn.graph.edges)
         for rec in reversed(stack):
-            restored = split_vertex(restored, rec)
-        g4_parts.append(restored)
+            _split(vrot, edges, routes, rec)
+        vrot4.update(vrot)
+        edges4.update(edges)
+        routes4.update({e: tuple((i, c) for c in r) for e, r in routes.items()})
+        spins4.update({(i, c): s for c, s in spins.items()})
 
-    g4 = merge_disjoint(g4_parts)
+    g4 = Drawing.from_routes(
+        Multigraph(tuple(vrot4), tuple(edges4.items())), vrot4, routes4, spins4, validate=False
+    )
     assert g4.graph == g1.graph, "pipeline changed the underlying graph"
     return PipelineTrace(
         input=d,
@@ -494,9 +627,7 @@ def theorem2_transform(d: Drawing, k: int) -> PipelineTrace:
         removed=removed,
         g1=g1,
         components=tuple(comps),
-        component_edge_counts=tuple(
-            sum(1 for _, (u, v) in g1.graph.edges if comp_of[u] == i) for i in range(len(comps))
-        ),
+        component_edge_counts=edge_counts,
         sketches=tuple(sketches),
         split_stacks=tuple(stacks),
         g3=tuple(g3),

@@ -121,6 +121,28 @@ def test_cli_validate_bad(tmp_path, capsys):
     assert out["valid"] is False and out["violations"]
 
 
+def test_validate_reports_edge_path_dart_missing_from_involution(tmp_path, capsys):
+    from oddplanar import Drawing, validate_drawing
+    from oddplanar.oracle import random_drawing
+
+    doc = json.loads(serialize_drawing(random_drawing(complete_graph(5), 0, "convex")))
+    doc["edge_paths"][0][1][0] = 999
+    d = Drawing(
+        complete_graph(5),
+        {n: tuple(r) for n, r in doc["map"]["rotations"]},
+        {a: b for x, y in doc["map"]["involution"] for a, b in ((x, y), (y, x))},
+        {e: tuple(p) for e, p in doc["edge_paths"]},
+    )
+    kinds = {v.kind for v in validate_drawing(d)}
+    assert "BadEdgePath" in kinds
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    assert main(["validate", str(p)]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["valid"] is False
+    assert {"kind": "BadEdgePath", "locus": "edge 0 segment 0 not theta-paired"} in out["violations"]
+
+
 def test_cli_stats(tmp_path, capsys):
     f = drawing_file(tmp_path, k4_convex())
     assert main(["stats", f]) == 0

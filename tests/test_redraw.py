@@ -234,6 +234,34 @@ def test_split_inconsistent_record():
         split_vertex(d, bad)
 
 
+def _contracted_drawing():
+    sk2, rec = contract_even_edge(sketch_for_contraction(), 0, target=0)
+    g = Multigraph((0, 2), tuple(sk2.edges))
+    d = Drawing.crossing_free(g, {0: sk2.vertex_rotation(0), 2: sk2.vertex_rotation(2)})
+    return d, rec
+
+
+def test_split_rejects_each_inconsistency():
+    from dataclasses import replace
+
+    d, rec = _contracted_drawing()
+    assert d.vertex_endings(0) == ((1, 0), (2, 0), (3, 0))
+    # blocks that are a rotation apart stay contiguous and are accepted
+    split_vertex(d, replace(rec, u_block=((2, 0),), v_block=((3, 0), (1, 0))))
+    cases = {
+        "non-contiguous": replace(rec, u_block=((1, 0), (3, 0)), v_block=((2, 0),)),
+        "wrong size": replace(rec, v_block=()),
+        "too large": replace(rec, v_block=rec.v_block + ((9, 0),)),
+        "unknown first ending": replace(rec, u_block=((9, 0), (2, 0))),
+        "id in use": replace(rec, v=2),
+        "merged missing": replace(rec, merged=7, u=7),
+    }
+    for why, bad in cases.items():
+        with pytest.raises(InconsistentSplit):
+            split_vertex(d, bad)
+            pytest.fail(why)
+
+
 def SplitRecordShuffle(rec):
     from oddplanar.redraw import SplitRecord
 
