@@ -6,9 +6,8 @@ a failed audit check), 2 usage error, 3 budget exceeded.
 
 Randomized commands (`sample`, `search`) take an explicit ``--seed`` or
 use the documented default 0; the seed used is always echoed in the
-output.  Oracle parallelism is controlled by the ``ODDPLANAR_THREADS``
-environment variable (default: the machine's CPU count); parallel and
-serial runs return identical results.
+output.  The oracle is serial, so its results never depend on the
+machine.
 """
 from __future__ import annotations
 

@@ -74,6 +74,11 @@ def serialize_drawing(d: Drawing, meta: dict | None = None) -> bytes:
     return canonical_json(drawing_to_doc(d, meta))
 
 
+def _is_int(x) -> bool:
+    """JSON integer: ``true`` and ``false`` are not ids."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _expect(cond: bool, locus: str, message: str) -> None:
     if not cond:
         raise ParseError(locus, message)
@@ -89,7 +94,7 @@ def parse_drawing(data: bytes | str) -> Drawing:
     g = doc.get("graph")
     _expect(isinstance(g, dict), "graph", "missing section")
     _expect(
-        isinstance(g.get("vertices"), list) and all(isinstance(v, int) for v in g["vertices"]),
+        isinstance(g.get("vertices"), list) and all(_is_int(v) for v in g["vertices"]),
         "graph.vertices",
         "must be a list of integers",
     )
@@ -97,7 +102,7 @@ def parse_drawing(data: bytes | str) -> Drawing:
     edges = []
     for item in g["edges"]:
         _expect(
-            isinstance(item, list) and len(item) == 3 and all(isinstance(x, int) for x in item),
+            isinstance(item, list) and len(item) == 3 and all(_is_int(x) for x in item),
             "graph.edges",
             f"bad edge entry {item!r}",
         )
@@ -113,8 +118,8 @@ def parse_drawing(data: bytes | str) -> Drawing:
     rotation = {}
     for item in mp["rotations"]:
         _expect(
-            isinstance(item, list) and len(item) == 2 and isinstance(item[0], int)
-            and isinstance(item[1], list) and all(isinstance(x, int) for x in item[1]),
+            isinstance(item, list) and len(item) == 2 and _is_int(item[0])
+            and isinstance(item[1], list) and all(_is_int(x) for x in item[1]),
             "map.rotations",
             f"bad rotation entry {item!r}",
         )
@@ -123,7 +128,7 @@ def parse_drawing(data: bytes | str) -> Drawing:
     theta = {}
     for item in mp["involution"]:
         _expect(
-            isinstance(item, list) and len(item) == 2 and all(isinstance(x, int) for x in item),
+            isinstance(item, list) and len(item) == 2 and all(_is_int(x) for x in item),
             "map.involution",
             f"bad involution entry {item!r}",
         )
@@ -134,8 +139,8 @@ def parse_drawing(data: bytes | str) -> Drawing:
     paths = {}
     for item in doc["edge_paths"]:
         _expect(
-            isinstance(item, list) and len(item) == 2 and isinstance(item[0], int)
-            and isinstance(item[1], list) and all(isinstance(x, int) for x in item[1]),
+            isinstance(item, list) and len(item) == 2 and _is_int(item[0])
+            and isinstance(item[1], list) and all(_is_int(x) for x in item[1]),
             "edge_paths",
             f"bad path entry {item!r}",
         )
@@ -172,12 +177,16 @@ def parse_graph(data: bytes | str) -> Multigraph:
         raise ParseError("document", f"not valid JSON ({exc})") from None
     _expect(isinstance(doc, dict), "document", "must be an object")
     _expect(doc.get("format") == GRAPH_FORMAT, "format", f"expected {GRAPH_FORMAT!r}")
-    _expect(isinstance(doc.get("vertices"), list), "vertices", "must be a list")
+    _expect(
+        isinstance(doc.get("vertices"), list) and all(_is_int(v) for v in doc["vertices"]),
+        "vertices",
+        "must be a list of integers",
+    )
     _expect(isinstance(doc.get("edges"), list), "edges", "must be a list")
     edges = []
     for item in doc["edges"]:
         _expect(
-            isinstance(item, list) and len(item) == 3 and all(isinstance(x, int) for x in item),
+            isinstance(item, list) and len(item) == 3 and all(_is_int(x) for x in item),
             "edges",
             f"bad edge entry {item!r}",
         )

@@ -13,15 +13,13 @@ self-crossing preserves every pairwise crossing count exactly, so no
 minimum over drawings changes by ignoring them.
 
 Budgets are counted in candidate drawings examined.  The candidate limit
-is enforced deterministically (parallel runs at chunk granularity); the
-time limit is a safety net and should not be used to pin down results.
+is enforced deterministically; the time limit is a safety net and should
+not be used to pin down results.
 """
 from __future__ import annotations
 
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
@@ -37,19 +35,6 @@ from .surgery import (
     quadrangulation_with_diagonals,
     random_planar_triangulation,
 )
-
-THREADS_ENV = "ODDPLANAR_THREADS"
-
-
-def thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "").strip()
-    if raw:
-        n = int(raw)
-        if n < 1:
-            raise ValueError(f"{THREADS_ENV} must be positive")
-        return n
-    return os.cpu_count() or 1
-
 
 class BudgetExceeded(Exception):
     pass
@@ -175,6 +160,23 @@ def _convex_drawing(g: Multigraph, seed: int) -> Drawing:
     raise RuntimeError("could not find a nondegenerate convex placement")
 
 
+def _entangle_options(d: Drawing) -> list[tuple[int, int]]:
+    """Dart pairs (a, b) on one face whose darts lie on distinct edges, the
+    arguments ``double_crossing_move`` accepts, listed face by face in
+    sorted face order and by position along each face."""
+    seg_edge = {}
+    for eid, p in d.edge_paths.items():
+        for x in p:
+            seg_edge[x] = eid
+    options: list[tuple[int, int]] = []
+    for face in sorted(d.faces()):
+        for i, a in enumerate(face):
+            for b in face[i + 1 :]:
+                if seg_edge[a] != seg_edge[b]:
+                    options.append((a, b))
+    return options
+
+
 def perturb_even(d: Drawing, moves: int, seed: int) -> tuple[Drawing, tuple[MoveRecord, ...]]:
     """Apply a seeded sequence of parity-preserving double-crossing moves;
     starting from an all-even drawing the result stays all-even.  The
@@ -182,16 +184,7 @@ def perturb_even(d: Drawing, moves: int, seed: int) -> tuple[Drawing, tuple[Move
     rng = random.Random(f"{seed}:moves")
     recs: list[MoveRecord] = []
     for _ in range(moves):
-        seg_edge = {}
-        for eid, p in d.edge_paths.items():
-            for x in p:
-                seg_edge[x] = eid
-        options: list[tuple[int, int]] = []
-        for face in sorted(d.faces()):
-            for i, a in enumerate(face):
-                for b in face[i + 1 :]:
-                    if seg_edge[a] != seg_edge[b]:
-                        options.append((a, b))
+        options = _entangle_options(d)
         if not options:
             raise ValueError("no face offers two distinct edges to entangle")
         a, b = options[rng.randrange(len(options))]
@@ -226,23 +219,6 @@ def random_drawing(g: Multigraph, seed: int, model: str = "convex", moves: int |
 # ---------------------------------------------------------------------------
 
 
-def _euler_ok(d: Drawing) -> bool:
-    comps = d.map_components()
-    face_comp: dict[int, int] = {}
-    for i, comp in enumerate(comps):
-        for nd in comp:
-            face_comp[nd] = i
-    fcount = [0] * len(comps)
-    for face in d.faces():
-        fcount[face_comp[d.dart_node(face[0])]] += 1
-    for i, comp in enumerate(comps):
-        e_c = sum(len(d.rotation[nd]) for nd in comp) // 2
-        f_c = fcount[i] if e_c else 1
-        if len(comp) - e_c + f_c != 2:
-            return False
-    return True
-
-
 def _rotation_choices(g: Multigraph) -> list[list[tuple[Ending, ...]]]:
     """All cyclic orders per vertex: first incident ending pinned, the
     rest permuted ((deg-1)! options)."""
@@ -263,31 +239,89 @@ def _rotation_choices(g: Multigraph) -> list[list[tuple[Ending, ...]]]:
     return out
 
 
+def _face_count(succ: list[int]) -> int:
+    """Number of cycles of d -> succ[theta(d)] with theta(d) = d ^ 1."""
+    seen = bytearray(len(succ))
+    faces = 0
+    for d0 in range(len(succ)):
+        if not seen[d0]:
+            faces += 1
+            d = d0
+            while not seen[d]:
+                seen[d] = 1
+                d = succ[d ^ 1]
+    return faces
+
+
 def _realizations(g: Multigraph, multiset: tuple[tuple[int, int], ...], tick):
     """Yield every valid drawing whose crossing-pair multiset is exactly
-    ``multiset`` (crossing ids, orders along edges, spins, rotations)."""
-    cids = list(range(len(multiset)))
-    on_edge: dict[int, list[int]] = {e: [] for e in g.edge_ids()}
+    ``multiset`` (crossing ids, orders along edges, spins, rotations).
+
+    Candidates are screened on integer arrays: darts laid out edge by edge
+    with theta(d) = d ^ 1, and ``succ`` the clockwise successor of each
+    dart.  V = n + c, E = m + 2c and the map's components are the same for
+    every candidate; a connected map has at most 2 - V + E faces (cycles of
+    succ . theta), with equality iff it is a sphere.  So a candidate is
+    valid iff its face count is the sum of those bounds over components
+    with edges.  Only survivors become a ``Drawing``, each fully checked."""
+    eids = g.edge_ids()
+    on_edge: dict[int, list[int]] = {e: [] for e in eids}
     for cid, (e, f) in enumerate(multiset):
         on_edge[e].append(cid)
         on_edge[f].append(cid)
-    rot_choices = _rotation_choices(g)
-    order_choices = [
-        list(permutations(on_edge[e])) if len(on_edge[e]) > 1 else [tuple(on_edge[e])]
-        for e in g.edge_ids()
+    ending_dart: dict[Ending, int] = {}
+    ndarts = 0
+    for e in eids:
+        ending_dart[(e, 0)] = ndarts
+        ndarts += 2 * len(on_edge[e]) + 2
+        ending_dart[(e, 1)] = ndarts - 1
+    # A crossing joins the map components of its two edges.
+    links = tuple(
+        (-1 - cid, (g.endpoints(e)[0], g.endpoints(f)[0])) for cid, (e, f) in enumerate(multiset)
+    )
+    linked = Multigraph(g.vertices, g.edges + links)
+    comps = [comp for comp in linked.components() if len(comp) > 1]
+    need = 2 * len(comps) - (sum(map(len, comps)) + len(multiset)) + ndarts // 2
+
+    rot_choices = [
+        [(rot, tuple(ending_dart[t] for t in rot)) for rot in choices]
+        for choices in _rotation_choices(g)
     ]
-    eids = g.edge_ids()
-    for rots in product(*rot_choices):
-        vrot = dict(zip(g.vertices, rots))
-        for orders in product(*order_choices):
-            routes = dict(zip(eids, orders))
-            for spin_bits in product((False, True), repeat=len(cids)):
+    # Per order choice, (P_in, P_out, Q_in, Q_out) of each crossing, P the
+    # pass on the smaller edge id, as in the spin convention of ``Drawing``.
+    order_choices = []
+    for orders in product(*(permutations(on_edge[e]) for e in eids)):
+        passes = [[0, 0, 0, 0] for _ in multiset]
+        for e, order in zip(eids, orders):
+            for pos, cid in enumerate(order):
+                k = 0 if e == min(multiset[cid]) else 2
+                passes[cid][k] = ending_dart[(e, 0)] + 2 * pos + 1
+                passes[cid][k + 1] = ending_dart[(e, 0)] + 2 * pos + 2
+        order_choices.append((orders, passes))
+    succ = [0] * ndarts
+    for picks in product(*rot_choices):
+        for _, darts in picks:
+            for i, d in enumerate(darts):
+                succ[darts[i - 1]] = d
+        for orders, passes in order_choices:
+            for spin_bits in product((False, True), repeat=len(multiset)):
                 tick()
+                for (a_in, a_out, b_in, b_out), spin in zip(passes, spin_bits):
+                    if spin:  # clockwise (a_in, b_in, a_out, b_out)
+                        succ[a_in], succ[b_in], succ[a_out], succ[b_out] = b_in, a_out, b_out, a_in
+                    else:  # clockwise (a_in, b_out, a_out, b_in)
+                        succ[a_in], succ[b_out], succ[a_out], succ[b_in] = b_out, a_out, b_in, a_in
+                if _face_count(succ) != need:
+                    continue
                 d = Drawing.from_routes(
-                    g, vrot, routes, dict(zip(cids, spin_bits)), validate=False
+                    g,
+                    dict(zip(g.vertices, (rot for rot, _ in picks))),
+                    dict(zip(eids, orders)),
+                    dict(enumerate(spin_bits)),
+                    validate=False,
                 )
-                if _euler_ok(d):
-                    yield d
+                assert not d.validate(), "face-count kernel accepted an invalid drawing"
+                yield d
 
 
 def enumerate_drawings(g: Multigraph, budget: EnumerationBudget):
@@ -314,11 +348,9 @@ def enumerate_drawings(g: Multigraph, budget: EnumerationBudget):
     for size in range(budget.max_crossings + 1):
         for multiset in combinations_with_replacement(pairs, size):
             for d in _realizations(g, multiset, tick):
-                key = d.canonical_key()
-                if key in seen:
-                    continue
-                seen.add(key)
-                yield d
+                if d.canonical_key() not in seen:
+                    seen.add(d.canonical_key())
+                    yield d
 
 
 # ---------------------------------------------------------------------------
@@ -352,52 +384,47 @@ def _multiset_value(multiset, variant: str, rule: str, adjacent) -> tuple[bool, 
     return True, val
 
 
+def _triangle_free(g: Multigraph) -> bool:
+    nbrs: dict[int, set[int]] = {v: set() for v in g.vertices}
+    for _, (u, v) in g.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return all(not (nbrs[u] & nbrs[v]) for _, (u, v) in g.edges)
+
+
 def _counting_prune(g: Multigraph, crossings: int) -> bool:
-    """True if no drawing of g can have this few crossings: deleting one
-    edge per crossing leaves a planar simple graph, so a drawing with c
-    crossings forces m - c <= 3n - 6."""
-    return g.n >= 3 and crossings < g.m - (3 * g.n - 6)
-
-
-_EMBED_MEMO: dict[tuple, bool] = {}
+    """True if no drawing of the simple graph g can have this few
+    crossings.  Deleting one edge per crossing leaves a planar simple
+    subgraph, so a drawing with c crossings forces m - c <= 3n - 6; if g is
+    triangle-free the subgraph is too, and every face of a triangle-free
+    plane graph with n >= 3 has length >= 4, which forces m - c <= 2n - 4."""
+    if g.n < 3:
+        return False
+    if crossings < g.m - (3 * g.n - 6):
+        return True
+    return crossings < g.m - (2 * g.n - 4) and _triangle_free(g)
 
 
 def _realizable(g: Multigraph, multiset, max_ticks: int) -> tuple[bool | None, int]:
     """(found, ticks) where found is None if the tick budget ran out."""
-    ticks = 0
     if _counting_prune(g, len(multiset)):
         return False, 0
-    memo_key = None
     if not multiset:
-        memo_key = (g.vertices, g.edges)
-        if memo_key in _EMBED_MEMO:
-            return _EMBED_MEMO[memo_key], 1
         try:
             greedy_embed(g, seed=0, attempts=64)
-            _EMBED_MEMO[memo_key] = True
             return True, 1
         except ValueError:
             pass
+    ticks = 0
 
-    def gen():
+    def tick():
         nonlocal ticks
-
-        def tick():
-            nonlocal ticks
-            ticks += 1
-            if ticks > max_ticks:
-                raise BudgetExceeded("realizability tick budget")
-
-        yield from _realizations(g, multiset, tick)
+        ticks += 1
+        if ticks > max_ticks:
+            raise BudgetExceeded("realizability tick budget")
 
     try:
-        for _ in gen():
-            if memo_key is not None:
-                _EMBED_MEMO[memo_key] = True
-            return True, ticks
-        if memo_key is not None:
-            _EMBED_MEMO[memo_key] = False
-        return False, ticks
+        return next(_realizations(g, multiset, tick), None) is not None, ticks
     except BudgetExceeded:
         return None, ticks
 
@@ -412,10 +439,9 @@ def exact_crossing_value(
     verdicts at 0 are always exact).  Returns LowerBoundOnly when the
     enumerated space contains no admissible drawing.
 
-    Candidate multisets are processed in (value, multiset) order with
-    pruning, so the search stops as soon as no better value is possible.
-    Honors the thread-count environment variable; parallel and serial
-    runs return identical results.
+    Candidate multisets are processed serially in (value, multiset) order
+    with pruning, so the search stops as soon as no better value is
+    possible, and results do not depend on the process or the machine.
     """
     if variant not in _VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -426,16 +452,32 @@ def exact_crossing_value(
     if not g.is_simple:
         raise ValueError("exact values are defined for simple graphs")
 
-    adj_cache: dict[tuple[int, int], bool] = {}
+    start = time.monotonic()
+    remaining = budget.max_candidates
+
+    def realizable(multiset) -> bool:
+        nonlocal remaining
+        if time.monotonic() - start > budget.time_limit:
+            raise BudgetExceeded("time budget exhausted")
+        if remaining <= 0:
+            raise BudgetExceeded("candidate budget exhausted")
+        found, used = _realizable(g, multiset, remaining)
+        remaining -= used
+        if found is None:
+            raise BudgetExceeded("candidate budget exhausted")
+        return found
+
+    # The empty multiset would sort first with value 0 under every variant
+    # and rule, so a planar verdict needs no candidate list.
+    if realizable(()):
+        return 0
 
     def adjacent(p):
-        if p not in adj_cache:
-            adj_cache[p] = g.adjacent(*p)
-        return adj_cache[p]
+        return g.adjacent(*p)
 
     pairs = sorted(combinations(sorted(g.edge_ids()), 2))
     candidates: list[tuple[int, int, tuple]] = []
-    for size in range(budget.max_crossings + 1):
+    for size in range(1, budget.max_crossings + 1):
         for multiset in combinations_with_replacement(pairs, size):
             ok, val = _multiset_value(multiset, variant, rule, adjacent)
             if ok:
@@ -444,44 +486,10 @@ def exact_crossing_value(
     # Equal-value multisets with fewer adjacent crossings first: witnesses
     # tend to be independent, and failed sweeps are the expensive part.
     candidates.sort()
-
-    start = time.monotonic()
-    remaining = budget.max_candidates
-    best: int | None = None
-    nthreads = thread_count()
-    i = 0
-    while i < len(candidates):
-        if best is not None and candidates[i][0] >= best:
-            break
-        if time.monotonic() - start > budget.time_limit:
-            raise BudgetExceeded("time budget exhausted")
-        if remaining <= 0:
-            raise BudgetExceeded("candidate budget exhausted")
-        chunk = []
-        while i < len(candidates) and len(chunk) < max(1, nthreads):
-            val, _, ms = candidates[i]
-            if best is not None and val >= best:
-                break
-            chunk.append((val, ms))
-            i += 1
-        if not chunk:
-            break
-        if nthreads > 1 and len(chunk) > 1:
-            with ThreadPoolExecutor(max_workers=nthreads) as pool:
-                results = list(
-                    pool.map(lambda vm: _realizable(g, vm[1], remaining), chunk)
-                )
-        else:
-            results = [_realizable(g, ms, remaining) for _, ms in chunk]
-        for (val, _), (found, used) in zip(chunk, results):
-            remaining -= used
-            if found is None:
-                raise BudgetExceeded("candidate budget exhausted")
-            if found and (best is None or val < best):
-                best = val
-    if best is None:
-        return LowerBoundOnly(budget.max_crossings + 1)
-    return best
+    for val, _, multiset in candidates:
+        if realizable(multiset):
+            return val
+    return LowerBoundOnly(budget.max_crossings + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -557,16 +565,7 @@ def extremal_search(k: int, n: int, budget: EnumerationBudget, seed: int) -> Sea
                     rng=random.Random(f"{seed}:route:{proposals}"),
                 )
             else:
-                seg_edge = {}
-                for eid2, p in current.edge_paths.items():
-                    for x in p:
-                        seg_edge[x] = eid2
-                options = []
-                for face in sorted(current.faces()):
-                    for ii, a in enumerate(face):
-                        for b in face[ii + 1 :]:
-                            if seg_edge[a] != seg_edge[b]:
-                                options.append((a, b))
+                options = _entangle_options(current)
                 if not options:
                     continue
                 a, b = options[rng.randrange(len(options))]

@@ -284,3 +284,44 @@ def test_cli_determinism_byte_identical(tmp_path, capsys):
     main(["search", "--k", "1", "--n", "5", "--budget", "candidates=30", "--seed", "2"])
     s2 = capsys.readouterr().out
     assert s1 == s2
+
+
+TRIANGLE_EDGES = [[0, 0, 1], [1, 1, 2], [2, 0, 2]]
+
+
+@pytest.mark.parametrize(
+    "vertices, edges",
+    [
+        ([0, 1, 2, None], TRIANGLE_EDGES),
+        ([0, 1.0, 2], TRIANGLE_EDGES),
+        ([0, True, 2], TRIANGLE_EDGES),
+        ([0, 1, 2], [[0, 0, 1], [1, True, 2], [2, 0, 2]]),
+    ],
+)
+def test_cli_oracle_rejects_non_int_ids(tmp_path, capsys, vertices, edges):
+    p = tmp_path / "g.json"
+    p.write_text(json.dumps({"format": "oddplanar-graph/1", "vertices": vertices, "edges": edges}))
+    assert main(["oracle", str(p), "--variant", "cr", "--rule", "zero"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    with pytest.raises(ParseError):
+        parse_graph(p.read_bytes())
+
+
+@pytest.mark.parametrize("section", ["vertices", "edges", "rotations", "edge_paths"])
+def test_cli_validate_rejects_bool_ids(tmp_path, capsys, section):
+    doc = json.loads(serialize_drawing(triangle()))
+    if section == "vertices":
+        doc["graph"]["vertices"][1] = True
+    elif section == "edges":
+        doc["graph"]["edges"][0][2] = True
+    elif section == "rotations":
+        doc["map"]["rotations"][1][0] = True
+    else:
+        doc["edge_paths"][0][1][0] = False
+    p = tmp_path / "d.json"
+    p.write_text(json.dumps(doc))
+    assert main(["validate", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err

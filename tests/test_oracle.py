@@ -1,5 +1,11 @@
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from oddplanar import complete_bipartite, complete_graph, cycle_graph, validate_drawing
@@ -101,6 +107,13 @@ def test_enumerate_budget_exceeded():
         list(enumerate_drawings(complete_graph(5), budget))
 
 
+def test_exact_zero_candidate_budget_raises():
+    # the planar verdict runs first, but still spends from the budget
+    for g in (cycle_graph(4), complete_graph(5)):
+        with pytest.raises(BudgetExceeded):
+            exact_crossing_value(g, "cr", "zero", EnumerationBudget(1, 0, 60.0))
+
+
 def test_enumeration_dedup_tiny():
     g = Multigraph((0, 1), ((0, (0, 1)),))
     budget = EnumerationBudget(max_crossings=0, max_candidates=1000)
@@ -157,13 +170,22 @@ def test_exact_lower_bound_only():
     assert out == LowerBoundOnly(2)
 
 
-def test_parallel_matches_serial(monkeypatch):
-    g = complete_graph(5)
-    monkeypatch.setenv("ODDPLANAR_THREADS", "1")
-    serial = exact_crossing_value(g, "ocr", "zero", SMALL)
-    monkeypatch.setenv("ODDPLANAR_THREADS", "4")
-    parallel = exact_crossing_value(g, "ocr", "zero", SMALL)
-    assert serial == parallel == 1
+def test_oracle_cli_determinism_across_processes():
+    # different hash randomization must not leak into oracle outputs
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outs = []
+    for hash_seed in ("1", "31337"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "oddplanar", "oracle", "K5", "--variant", "ocr",
+             "--rule", "zero", "--max-crossings", "1"],
+            capture_output=True,
+            env=env,
+            check=True,
+        )
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["value"] == 1
 
 
 # ---------------------------------------------------------------------------
