@@ -21,7 +21,7 @@ from oddplanar import complete_graph
 
 def k5_one_crossing():
     d = random_planar_triangulation(4, 0)
-    face = sorted(d.faces())[0]
+    face = d.faces()[0]
     d = insert_vertex_in_face(d, face, [0, 1, 2], 4, d.graph.m)
     missing = ({0, 1, 2, 3} - {d.dart_node(x) for x in face}).pop()
     return insert_edge_shortest(d, 9, 4, missing)

@@ -36,7 +36,6 @@ from .docio import (
     parse_graph,
     to_jsonable,
 )
-from .drawing import validate_drawing
 from .graphs import Multigraph, complete_bipartite, complete_graph, cycle_graph
 from .oracle import (
     BudgetExceeded,
@@ -53,7 +52,7 @@ from .redraw import (
     lemma1_redraw,
     theorem2_transform,
 )
-from .svg import DegenerateLayout, SvgOptions, render_svg
+from .svg import DegenerateLayout, render_svg
 
 
 def _emit(doc, summary: str) -> None:
@@ -92,26 +91,14 @@ def _parse_budget(spec: str, max_crossings: int) -> EnumerationBudget:
 
 
 def _cmd_validate(args) -> int:
-    d = _load_drawing_raw(args.file)
-    bad = validate_drawing(d)
-    _emit(
-        {"valid": not bad, "violations": [{"kind": v.kind, "locus": v.locus} for v in bad]},
-        "valid drawing" if not bad else f"{len(bad)} violation(s)",
-    )
-    return 0 if not bad else 1
-
-
-def _load_drawing_raw(path: str):
-    # validate gets to see invalid maps; others go through parse_drawing
     try:
-        return parse_drawing(Path(path).read_bytes())
+        _load_drawing(args.file)
     except ValidationError as exc:
-        raise _Invalid(exc.violations) from None
-
-
-class _Invalid(Exception):
-    def __init__(self, violations):
-        self.violations = violations
+        bad = [{"kind": v.kind, "locus": v.locus} for v in exc.violations]
+        _emit({"valid": False, "violations": bad}, "invalid drawing")
+        return 1
+    _emit({"valid": True, "violations": []}, "valid drawing")
+    return 0
 
 
 def _cmd_stats(args) -> int:
@@ -222,7 +209,7 @@ def _cmd_search(args) -> int:
 
 def _cmd_render(args) -> int:
     d = _load_drawing(args.file)
-    svg = render_svg(d, SvgOptions(size=args.size))
+    svg = render_svg(d, args.size)
     Path(args.output).write_bytes(svg)
     _emit({"written": args.output, "bytes": len(svg)}, f"wrote {args.output}")
     return 0
@@ -302,15 +289,6 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except _Invalid as exc:
-        _emit(
-            {
-                "valid": False,
-                "violations": [{"kind": v.kind, "locus": v.locus} for v in exc.violations],
-            },
-            "invalid drawing",
-        )
-        return 1
     except (ParseError, NotKOddPlane, OddPairPresent, InvalidProbability) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

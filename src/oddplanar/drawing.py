@@ -30,9 +30,10 @@ Two conventions are load-bearing everywhere:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .graphs import Multigraph
+from .graphs import Multigraph, connected_components
 
 Ending = tuple[int, int]  # (edge id, end index 0 or 1)
 
@@ -76,10 +77,6 @@ def _norm_cyclic(seq: tuple) -> tuple:
     return best
 
 
-def _cyclic_equal(a: tuple, b: tuple) -> bool:
-    return len(a) == len(b) and _norm_cyclic(a) == _norm_cyclic(b)
-
-
 class Drawing:
     """Immutable planarization of a multigraph.
 
@@ -87,7 +84,9 @@ class Drawing:
     represented and fed to :func:`validate_drawing`; use
     :meth:`Drawing.from_routes` to build drawings that are valid by
     construction.  Treat instances as frozen: all operations return new
-    drawings.
+    drawings.  The derived views (route view, faces, dart-to-face and
+    dart-to-segment maps) are computed once, shared by every caller and
+    read-only; copy them to edit.
     """
 
     __slots__ = (
@@ -103,6 +102,9 @@ class Drawing:
         "_tokens",
         "_passes",
         "_routes",
+        "_faces",
+        "_face_of",
+        "_segments",
     )
 
     def __init__(
@@ -128,6 +130,9 @@ class Drawing:
         self._tokens = None
         self._passes = None
         self._routes = None
+        self._faces = None
+        self._face_of = None
+        self._segments = None
 
     # ------------------------------------------------------------------
     # Construction from the route view
@@ -302,64 +307,72 @@ class Drawing:
         raise ValueError(f"crossing {c} does not alternate")
 
     def route_view(self):
-        """(vertex endings, routes, spins), the inverse of :meth:`from_routes`."""
+        """(vertex endings, routes, spins), the inverse of :meth:`from_routes`.
+
+        Each vertex lists its endings in ``rotation[v]`` order, so position
+        i names the corner before dart ``rotation[v][i]``.  Cached and
+        read-only."""
         if self._routes is None:
-            vrot = {v: self.vertex_endings(v) for v in self.graph.vertices}
+            token = self._ending_of_dart()
+            vrot = {v: tuple(token[d] for d in self.rotation[v]) for v in self.graph.vertices}
             routes = {e: self.edge_route(e) for e in self.graph.edge_ids()}
             spins = {c: self.crossing_spin(c) for c in self.crossing_nodes()}
-            self._routes = (vrot, routes, spins)
+            self._routes = (MappingProxyType(vrot), MappingProxyType(routes), MappingProxyType(spins))
         return self._routes
 
     # ------------------------------------------------------------------
     # Faces and validation
     # ------------------------------------------------------------------
 
-    def faces(self) -> list[tuple[int, ...]]:
+    def faces(self) -> tuple[tuple[int, ...], ...]:
         """Face boundaries as dart cycles of ``sigma . theta``, each walked
-        with the face on its left; deterministic order (by least dart)."""
-        succ: dict[int, int] = {}
-        for rot in self.rotation.values():
-            n = len(rot)
-            for i, d in enumerate(rot):
-                succ[d] = rot[(i + 1) % n]
-        seen: set[int] = set()
-        out: list[tuple[int, ...]] = []
-        for d0 in sorted(self.theta):
-            if d0 in seen:
-                continue
-            face = []
-            d = d0
-            while d not in seen:
-                seen.add(d)
-                face.append(d)
-                d = succ[self.theta[d]]
-            out.append(tuple(face))
-        return out
+        with the face on its left.  Every face starts at its least dart and
+        the faces come in that order, so the tuple is sorted.  Cached."""
+        if self._faces is None:
+            succ: dict[int, int] = {}
+            for rot in self.rotation.values():
+                n = len(rot)
+                for i, d in enumerate(rot):
+                    succ[d] = rot[(i + 1) % n]
+            face_of: dict[int, int] = {}
+            out: list[tuple[int, ...]] = []
+            for d0 in sorted(self.theta):
+                if d0 in face_of:
+                    continue
+                face = []
+                d = d0
+                while d not in face_of:
+                    face_of[d] = len(out)
+                    face.append(d)
+                    d = succ[self.theta[d]]
+                out.append(tuple(face))
+            self._faces = tuple(out)
+            self._face_of = MappingProxyType(face_of)
+        return self._faces
+
+    def face_of_dart(self) -> Mapping[int, int]:
+        """dart -> index in :meth:`faces` of the face it bounds.  Cached
+        and read-only."""
+        self.faces()
+        return self._face_of
+
+    def segment_of_dart(self) -> Mapping[int, tuple[int, int, bool]]:
+        """dart -> (edge, segment index, True if the dart points along the
+        edge's end0 -> end1 direction).  Cached and read-only."""
+        if self._segments is None:
+            out: dict[int, tuple[int, int, bool]] = {}
+            for eid, p in self.edge_paths.items():
+                for q in range(len(p) // 2):
+                    out[p[2 * q]] = (eid, q, True)
+                    out[p[2 * q + 1]] = (eid, q, False)
+            self._segments = MappingProxyType(out)
+        return self._segments
 
     def map_components(self) -> list[tuple[int, ...]]:
         """Connected components of the map (nodes linked by segments)."""
-        adj: dict[int, set[int]] = {n: set() for n in self.rotation}
-        for d, dd in self.theta.items():
-            a, b = self._dart_node.get(d), self._dart_node.get(dd)
-            if a is not None and b is not None:
-                adj[a].add(b)
-                adj[b].add(a)
-        comps = []
-        seen: set[int] = set()
-        for start in sorted(adj):
-            if start in seen:
-                continue
-            stack, comp = [start], []
-            seen.add(start)
-            while stack:
-                x = stack.pop()
-                comp.append(x)
-                for y in adj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-            comps.append(tuple(sorted(comp)))
-        return comps
+        node = self._dart_node
+        links = [(node[d], node[dd]) for d, dd in self.theta.items() if d in node and dd in node]
+        return connected_components(self.rotation, links)
 
     def validate(self) -> list[Violation]:
         if self._violations is None:
@@ -727,7 +740,6 @@ class ParitySketch:
         # O(1) lookup indexes; not fields, so equality and hashing ignore them.
         object.__setattr__(self, "_ends", dict(self.edges))
         object.__setattr__(self, "_rot", dict(self.rotation))
-        object.__setattr__(self, "_odd_edges", frozenset(e for p in self.odd_pairs for e in p))
 
     def parity(self, e: int, f: int) -> int:
         if e == f:
@@ -748,9 +760,6 @@ class ParitySketch:
             return self._rot[v]
         except KeyError:
             raise KeyError(f"unknown vertex id {v}") from None
-
-    def is_even_edge(self, eid: int) -> bool:
-        return eid not in self._odd_edges
 
     def vertices(self) -> tuple[int, ...]:
         return tuple(v for v, _ in self.rotation)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -57,10 +58,6 @@ class Multigraph:
         except KeyError:
             raise KeyError(f"unknown edge id {eid}") from None
 
-    def is_loop(self, eid: int) -> bool:
-        u, v = self.endpoints(eid)
-        return u == v
-
     def adjacent(self, e: int, f: int) -> bool:
         """True if e and f share at least one endpoint (e != f)."""
         a, b = self.endpoints(e)
@@ -78,13 +75,6 @@ class Multigraph:
                 return False
             seen.add(key)
         return True
-
-    def incident_edges(self, vid: int) -> tuple[int, ...]:
-        out = []
-        for eid, (u, v) in self.edges:
-            if u == vid or v == vid:
-                out.append(eid)
-        return tuple(out)
 
     # -- derived graphs ---------------------------------------------------
 
@@ -106,33 +96,41 @@ class Multigraph:
 
     def components(self) -> list[tuple[int, ...]]:
         """Connected components as sorted vertex tuples, in id order."""
-        adj: dict[int, set[int]] = {v: set() for v in self.vertices}
-        for _, (u, v) in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        seen: set[int] = set()
-        comps = []
-        for start in self.vertices:
-            if start in seen:
-                continue
-            stack = [start]
-            comp = []
-            seen.add(start)
-            while stack:
-                x = stack.pop()
-                comp.append(x)
-                for y in adj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-            comps.append(tuple(sorted(comp)))
-        return comps
+        return connected_components(self.vertices, (uv for _, uv in self.edges))
+
+
+def connected_components(nodes: Iterable[int], links: Iterable[tuple[int, int]]) -> list[tuple[int, ...]]:
+    """Components of the graph on ``nodes`` with the given links, as sorted
+    node tuples in order of their least node."""
+    adj: dict[int, list[int]] = {x: [] for x in nodes}
+    for a, b in links:
+        adj[a].append(b)
+        adj[b].append(a)
+    seen: set[int] = set()
+    comps = []
+    for start in sorted(adj):
+        if start in seen:
+            continue
+        stack = [start]
+        comp = []
+        seen.add(start)
+        while stack:
+            x = stack.pop()
+            comp.append(x)
+            for y in adj[x]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        comps.append(tuple(sorted(comp)))
+    return comps
 
 
 # -- small named graphs used by tests and the CLI --------------------------
 
 
 def complete_graph(n: int) -> Multigraph:
+    if n < 0:
+        raise ValueError("complete graph needs n >= 0")
     verts = tuple(range(n))
     edges = tuple(
         (i, (u, v)) for i, (u, v) in enumerate(combinations(range(n), 2))
@@ -141,6 +139,8 @@ def complete_graph(n: int) -> Multigraph:
 
 
 def complete_bipartite(a: int, b: int) -> Multigraph:
+    if a < 0 or b < 0:
+        raise ValueError("complete bipartite graph needs part sizes >= 0")
     verts = tuple(range(a + b))
     edges = []
     eid = 0

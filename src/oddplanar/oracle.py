@@ -35,6 +35,7 @@ from .surgery import (
     quadrangulation_with_diagonals,
     random_planar_triangulation,
 )
+from .svg import ccw_key
 
 class BudgetExceeded(Exception):
     pass
@@ -63,28 +64,6 @@ class LowerBoundOnly:
 # ---------------------------------------------------------------------------
 # Random drawings
 # ---------------------------------------------------------------------------
-
-
-def _ccw_key_factory():
-    from functools import cmp_to_key
-
-    def half(v):
-        x, y = v
-        return 0 if (y > 0 or (y == 0 and x > 0)) else 1
-
-    def cmp(a, b):
-        va, vb = a[0], b[0]
-        ha, hb = half(va), half(vb)
-        if ha != hb:
-            return -1 if ha < hb else 1
-        cr = va[0] * vb[1] - va[1] * vb[0]
-        if cr > 0:
-            return -1
-        if cr < 0:
-            return 1
-        return 0
-
-    return cmp_to_key(cmp)
 
 
 def _convex_drawing(g: Multigraph, seed: int) -> Drawing:
@@ -144,7 +123,6 @@ def _convex_drawing(g: Multigraph, seed: int) -> Drawing:
         if degenerate:
             continue
 
-        key_ccw = _ccw_key_factory()
         vrot: dict[int, tuple[Ending, ...]] = {}
         for v in g.vertices:
             items = []
@@ -153,7 +131,7 @@ def _convex_drawing(g: Multigraph, seed: int) -> Drawing:
                     other = y if x == v else x
                     vec = (pt[other][0] - pt[v][0], pt[other][1] - pt[v][1])
                     items.append((vec, (eid, 0 if x == v else 1)))
-            items.sort(key=key_ccw)
+            items.sort(key=ccw_key)
             items.reverse()  # clockwise
             vrot[v] = tuple(tok for _, tok in items)
         return Drawing.from_routes(g, vrot, routes, spins)
@@ -164,15 +142,12 @@ def _entangle_options(d: Drawing) -> list[tuple[int, int]]:
     """Dart pairs (a, b) on one face whose darts lie on distinct edges, the
     arguments ``double_crossing_move`` accepts, listed face by face in
     sorted face order and by position along each face."""
-    seg_edge = {}
-    for eid, p in d.edge_paths.items():
-        for x in p:
-            seg_edge[x] = eid
+    seg_of = d.segment_of_dart()
     options: list[tuple[int, int]] = []
-    for face in sorted(d.faces()):
+    for face in d.faces():
         for i, a in enumerate(face):
             for b in face[i + 1 :]:
-                if seg_edge[a] != seg_edge[b]:
+                if seg_of[a][0] != seg_of[b][0]:
                     options.append((a, b))
     return options
 

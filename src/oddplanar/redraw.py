@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .drawing import Drawing, Ending, ParitySketch
 from .graphs import Multigraph
@@ -109,16 +109,14 @@ def interleaving_pairs(rotation: tuple[Ending, ...]) -> set[tuple[int, int]]:
 class OneVertexSketch:
     """Rotation of the 2L loop endings at a single vertex.
 
-    ``reference_gap`` is the index of the ending immediately clockwise of
-    the crossing-free reference point s; by default s sits right before
-    the smallest ending token, which makes redrawing reproducible.  Loop
-    orientations follow s: reading clockwise from s, the first occurrence
-    of a loop is its "minus" ending.
+    The crossing-free reference point s sits right before the smallest
+    ending token, which makes redrawing reproducible.  Loop orientations
+    follow s: reading clockwise from s, the first occurrence of a loop is
+    its "minus" ending.
     """
 
     vertex: int
     rotation: tuple[Ending, ...]
-    reference_gap: int = field(default=-1)
 
     def __post_init__(self) -> None:
         counts: dict[int, set[int]] = {}
@@ -129,19 +127,14 @@ class OneVertexSketch:
                 raise ValueError(f"loop {eid} must contribute endings 0 and 1 exactly once")
         if len(self.rotation) != 2 * len(counts):
             raise ValueError("rotation lists an ending twice")
-        if self.reference_gap == -1 and self.rotation:
-            object.__setattr__(self, "reference_gap", self.rotation.index(min(self.rotation)))
-        if self.rotation and not 0 <= self.reference_gap < len(self.rotation):
-            raise ValueError("reference gap out of range")
-        if not self.rotation:
-            object.__setattr__(self, "reference_gap", 0)
 
     @property
     def loops(self) -> tuple[int, ...]:
         return tuple(sorted({eid for eid, _ in self.rotation}))
 
     def linear(self) -> tuple[Ending, ...]:
-        g = self.reference_gap
+        """The rotation read clockwise from the reference point."""
+        g = self.rotation.index(min(self.rotation)) if self.rotation else 0
         return self.rotation[g:] + self.rotation[:g]
 
     def parity(self, e: int, f: int) -> int:

@@ -24,16 +24,6 @@ from .drawing import Drawing, Ending
 from .graphs import Multigraph
 
 
-def _raw_view(d: Drawing):
-    """Route view with vertex rotations positionally aligned to the dart
-    rotations (unnormalized), so corner indices can be used directly."""
-    token = d._ending_of_dart()
-    vrot = {v: [token[x] for x in d.rotation[v]] for v in d.graph.vertices}
-    routes = {e: list(d.edge_route(e)) for e in d.graph.edge_ids()}
-    spins = {c: d.crossing_spin(c) for c in d.crossing_nodes()}
-    return vrot, routes, spins
-
-
 def _spin_for(local_clockwise: tuple[str, str, str, str], a_eid: int, b_eid: int,
               a_forward: bool, b_forward: bool) -> bool:
     """Translate a local clockwise pattern over symbols A_in/A_out/B_in/B_out
@@ -64,16 +54,6 @@ def _spin_for(local_clockwise: tuple[str, str, str, str], a_eid: int, b_eid: int
     raise AssertionError("pattern does not alternate")
 
 
-def _segment_of_dart(d: Drawing) -> dict[int, tuple[int, int, bool]]:
-    """dart -> (edge, segment index, True if dart points along end0->end1)."""
-    out: dict[int, tuple[int, int, bool]] = {}
-    for eid, p in d.edge_paths.items():
-        for q in range(len(p) // 2):
-            out[p[2 * q]] = (eid, q, True)
-            out[p[2 * q + 1]] = (eid, q, False)
-    return out
-
-
 def insert_vertex_in_face(d: Drawing, face: tuple[int, ...], corner_positions: list[int],
                           new_vid: int, first_eid: int) -> Drawing:
     """Place a new vertex inside the face and join it, crossing-free, to
@@ -81,7 +61,8 @@ def insert_vertex_in_face(d: Drawing, face: tuple[int, ...], corner_positions: l
     from ``first_eid`` in ascending corner order and run (corner, new)."""
     if new_vid in d.graph.vertices:
         raise ValueError(f"vertex id {new_vid} already in use")
-    vrot, routes, spins = _raw_view(d)
+    vrot, routes, spins = d.route_view()
+    vrot, routes = dict(vrot), dict(routes)
     corner_nodes = []
     for i in corner_positions:
         x = d.dart_node(face[i])
@@ -97,9 +78,9 @@ def insert_vertex_in_face(d: Drawing, face: tuple[int, ...], corner_positions: l
         eid = first_eid + rank
         x = d.dart_node(face[i])
         j = d.rotation[x].index(face[i])
-        vrot[x].insert(j, (eid, 0))
+        vrot[x] = vrot[x][:j] + ((eid, 0),) + vrot[x][j:]
         new_edges.append((eid, (x, new_vid)))
-        routes[eid] = []
+        routes[eid] = ()
     # Clockwise around the new vertex = reverse of the boundary walk.
     for i in sorted(corner_positions, reverse=True):
         rank = sorted(corner_positions).index(i)
@@ -107,13 +88,7 @@ def insert_vertex_in_face(d: Drawing, face: tuple[int, ...], corner_positions: l
 
     g2 = Multigraph(d.graph.vertices + (new_vid,), d.graph.edges + tuple(new_edges))
     vrot[new_vid] = w_tokens
-    return Drawing.from_routes(
-        g2,
-        {v: tuple(r) for v, r in vrot.items()},
-        {e: tuple(r) for e, r in routes.items()},
-        spins,
-        validate=False,
-    )
+    return Drawing.from_routes(g2, vrot, routes, spins, validate=False)
 
 
 def route_edge(d: Drawing, eid: int, u: int, v: int,
@@ -131,8 +106,9 @@ def route_edge(d: Drawing, eid: int, u: int, v: int,
         raise ValueError("route_edge does not insert loops")
     if eid in d.graph.edge_ids():
         raise ValueError(f"edge id {eid} already in use")
-    vrot, routes, spins = _raw_view(d)
-    seg_of = _segment_of_dart(d)
+    vrot, routes, spins = d.route_view()
+    vrot, routes, spins = dict(vrot), dict(routes), dict(spins)
+    seg_of = d.segment_of_dart()
     segs = set()
     for x in crossed_darts:
         key = frozenset((x, d.theta[x]))
@@ -171,22 +147,16 @@ def route_edge(d: Drawing, eid: int, u: int, v: int,
         if corner is None:
             if d.rotation[vert]:
                 raise ValueError(f"vertex {vert} needs an explicit corner")
-            vrot[vert] = [(eid, end)]
+            vrot[vert] = ((eid, end),)
         else:
             if d.dart_node(corner) != vert:
                 raise ValueError("corner dart not at its endpoint")
             j = d.rotation[vert].index(corner)
-            vrot[vert].insert(j, (eid, end))
+            vrot[vert] = vrot[vert][:j] + ((eid, end),) + vrot[vert][j:]
 
     g2 = Multigraph(d.graph.vertices, d.graph.edges + ((eid, (u, v)),))
     routes[eid] = new_route
-    return Drawing.from_routes(
-        g2,
-        {w: tuple(r) for w, r in vrot.items()},
-        {e: tuple(r) for e, r in routes.items()},
-        spins,
-        validate=False,
-    )
+    return Drawing.from_routes(g2, vrot, routes, spins, validate=False)
 
 
 def insert_edge_shortest(d: Drawing, eid: int, u: int, v: int,
@@ -198,10 +168,7 @@ def insert_edge_shortest(d: Drawing, eid: int, u: int, v: int,
     if u == v:
         raise ValueError("cannot insert a loop")
     faces = d.faces()
-    face_of_dart: dict[int, int] = {}
-    for i, f in enumerate(faces):
-        for x in f:
-            face_of_dart[x] = i
+    face_of_dart = d.face_of_dart()
 
     def corners(vert: int) -> list[int]:
         return list(d.rotation[vert])
@@ -277,20 +244,17 @@ def double_crossing_move(d: Drawing, dart_a: int, dart_b: int) -> tuple[Drawing,
     """Poke the segment of ``dart_a`` across the segment of ``dart_b`` and
     back; both darts must lie on the same face and on distinct edges.  The
     crossing count of that pair grows by exactly two, parities unchanged."""
-    faces = d.faces()
-    face_of: dict[int, int] = {}
-    for i, f in enumerate(faces):
-        for x in f:
-            face_of[x] = i
+    face_of = d.face_of_dart()
     if face_of[dart_a] != face_of[dart_b]:
         raise ValueError("darts are not on a common face")
-    seg_of = _segment_of_dart(d)
+    seg_of = d.segment_of_dart()
     ea, qa, fa = seg_of[dart_a]
     eb, qb, fb = seg_of[dart_b]
     if ea == eb:
         raise ValueError("double crossing needs two distinct edges")
 
-    vrot, routes, spins = _raw_view(d)
+    vrot, routes, spins = d.route_view()
+    routes, spins = dict(routes), dict(spins)
     z1, z2 = ("dx", 1), ("dx", 2)
     # Walking the face, A traverses its segment along dart_a and B along
     # dart_b; in the disk between them A meets z1 then z2, B meets z2
@@ -298,24 +262,19 @@ def double_crossing_move(d: Drawing, dart_a: int, dart_b: int) -> tuple[Drawing,
     spins[z1] = _spin_for(("A_out", "B_in", "A_in", "B_out"), ea, eb, fa, fb)
     spins[z2] = _spin_for(("A_in", "B_in", "A_out", "B_out"), ea, eb, fa, fb)
 
-    pair_a = [z1, z2] if fa else [z2, z1]
-    pair_b = [z2, z1] if fb else [z1, z2]
+    pair_a = (z1, z2) if fa else (z2, z1)
+    pair_b = (z2, z1) if fb else (z1, z2)
     routes[ea] = routes[ea][:qa] + pair_a + routes[ea][qa:]
     routes[eb] = routes[eb][:qb] + pair_b + routes[eb][qb:]
-    out = Drawing.from_routes(
-        d.graph,
-        {w: tuple(r) for w, r in vrot.items()},
-        {e: tuple(r) for e, r in routes.items()},
-        spins,
-        validate=False,
-    )
+    out = Drawing.from_routes(d.graph, vrot, routes, spins, validate=False)
     return out, MoveRecord(ea, eb, qa, qb)
 
 
 def undo_double_crossing(d: Drawing, rec: MoveRecord) -> Drawing:
     """Invert the most recent double-crossing move (LIFO discipline: the
     recorded route positions must still name the inserted pair)."""
-    vrot, routes, spins = _raw_view(d)
+    vrot, routes, spins = d.route_view()
+    routes, spins = dict(routes), dict(spins)
     ra, rb = routes[rec.edge_a], routes[rec.edge_b]
     ca = ra[rec.route_pos_a : rec.route_pos_a + 2]
     cb = rb[rec.route_pos_b : rec.route_pos_b + 2]
@@ -325,13 +284,7 @@ def undo_double_crossing(d: Drawing, rec: MoveRecord) -> Drawing:
     routes[rec.edge_b] = rb[: rec.route_pos_b] + rb[rec.route_pos_b + 2 :]
     for c in set(ca):
         del spins[c]
-    return Drawing.from_routes(
-        d.graph,
-        {w: tuple(r) for w, r in vrot.items()},
-        {e: tuple(r) for e, r in routes.items()},
-        spins,
-        validate=False,
-    )
+    return Drawing.from_routes(d.graph, vrot, routes, spins, validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +308,7 @@ def random_planar_triangulation(n: int, seed: int) -> Drawing:
     d = base_triangle()
     eid = 3
     for w in range(3, n):
-        faces = sorted(d.faces())
+        faces = d.faces()
         face = faces[rng.randrange(len(faces))]
         d = insert_vertex_in_face(d, face, [0, 1, 2], w, eid)
         eid += 3
@@ -394,7 +347,7 @@ def random_quadrangulation(n: int, seed: int) -> Drawing:
     d = base_square()
     eid = 4
     for w in range(4, n):
-        faces = sorted(f for f in d.faces() if len(f) == 4)
+        faces = [f for f in d.faces() if len(f) == 4]
         face = faces[rng.randrange(len(faces))]
         d = insert_vertex_in_face(d, face, [0, 2], w, eid)
         eid += 2
@@ -407,8 +360,9 @@ def add_diagonals(d: Drawing) -> Drawing:
     is already an edge, so the result stays simple when the input is.
     On a quadrangulation whose faces share no opposite corner pair this
     yields 2n-4 + 2(n-2) = 4n-8 edges, each diagonal crossed once."""
-    faces = [f for f in sorted(d.faces()) if len(f) == 4]
-    vrot, routes, spins = _raw_view(d)
+    faces = [f for f in d.faces() if len(f) == 4]
+    old_vrot, routes, spins = d.route_view()
+    routes, spins = dict(routes), dict(spins)
     eid = max(d.graph.edge_ids()) + 1
     new_edges = []
     used_pairs = {frozenset(uv) for _, uv in d.graph.edges}
@@ -436,22 +390,16 @@ def add_diagonals(d: Drawing) -> Drawing:
         spins[z] = _spin_for(("A_in", "B_out", "A_out", "B_in"), ea, eb, True, True)
         for end, pos, e in ((0, 0, ea), (1, 2, ea), (0, 1, eb), (1, 3, eb)):
             pending[face[pos]] = (e, end)
+    vrot: dict[int, list[Ending]] = {}
     for v in d.graph.vertices:
         out: list[Ending] = []
-        token = d._ending_of_dart()
-        for x in d.rotation[v]:
+        for x, t in zip(d.rotation[v], old_vrot[v]):
             if x in pending:
                 out.append(pending[x])
-            out.append(token[x])
+            out.append(t)
         vrot[v] = out
     g2 = Multigraph(d.graph.vertices, d.graph.edges + tuple(new_edges))
-    return Drawing.from_routes(
-        g2,
-        {w: tuple(r) for w, r in vrot.items()},
-        {e: tuple(r) for e, r in routes.items()},
-        spins,
-        validate=False,
-    )
+    return Drawing.from_routes(g2, vrot, routes, spins, validate=False)
 
 
 def pseudo_double_wheel(half: int) -> Drawing:

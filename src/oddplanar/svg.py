@@ -17,7 +17,6 @@ derived from the exact rationals, so renders are byte-stable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 
@@ -40,11 +39,7 @@ def _prime(i: int) -> int:
     return _PRIMES[i]
 
 
-@dataclass(frozen=True)
-class SvgOptions:
-    size: int = 480
-    margin: int = 30
-    labels: bool = True
+_MARGIN = 30
 
 
 Point = tuple[Fraction, Fraction]
@@ -108,24 +103,27 @@ def _solve_barycentric(
     return out
 
 
-def _cw_dir_key():
-    def half(v):
-        x, y = v
-        return 0 if (y > 0 or (y == 0 and x > 0)) else 1
+def _half(v) -> int:
+    x, y = v
+    return 0 if (y > 0 or (y == 0 and x > 0)) else 1
 
-    def cmp(a, b):
-        va, vb = a[0], b[0]
-        ha, hb = half(va), half(vb)
-        if ha != hb:
-            return -1 if ha < hb else 1
-        cr = va[0] * vb[1] - va[1] * vb[0]
-        if cr > 0:
-            return -1
-        if cr < 0:
-            return 1
-        return 0
 
-    return cmp_to_key(cmp)
+def _ccw_cmp(a, b) -> int:
+    va, vb = a[0], b[0]
+    ha, hb = _half(va), _half(vb)
+    if ha != hb:
+        return -1 if ha < hb else 1
+    cr = va[0] * vb[1] - va[1] * vb[0]
+    if cr > 0:
+        return -1
+    if cr < 0:
+        return 1
+    return 0
+
+
+# Sort key for (vector, payload) pairs: counterclockwise by the exact
+# direction of the nonzero vector, starting at the positive x axis.
+ccw_key = cmp_to_key(_ccw_cmp)
 
 
 def _seg_intersect_badly(p1: Point, p2: Point, q1: Point, q2: Point, share: bool) -> bool:
@@ -283,7 +281,6 @@ class _LayoutPlan:
 
     def _verify(self, pos, mids) -> bool:
         d = self.d
-        key = _cw_dir_key()
         for n in self.comp:
             rot = d.rotation[n]
             if len(rot) < 3:
@@ -295,7 +292,7 @@ class _LayoutPlan:
                 if vx == 0 and vy == 0:
                     return False
                 dirs.append(((vx, vy), x))
-            dirs_sorted = sorted(dirs, key=key)
+            dirs_sorted = sorted(dirs, key=ccw_key)
             for i in range(len(dirs_sorted) - 1):
                 a, b = dirs_sorted[i][0], dirs_sorted[i + 1][0]
                 if a[0] * b[1] - a[1] * b[0] == 0 and (a[0] * b[0] + a[1] * b[1]) > 0:
@@ -341,10 +338,10 @@ def _fmt(x: Fraction) -> str:
     return f"{sign}{q // 10**6}.{q % 10**6:06d}"
 
 
-def render_svg(d: Drawing, options: SvgOptions | None = None) -> bytes:
-    """Render to SVG 1.1 bytes; raises DegenerateLayout only if every
-    layout strategy fails its audit (a bug for valid drawings)."""
-    opts = options or SvgOptions()
+def render_svg(d: Drawing, size: int = 480) -> bytes:
+    """Render to a ``size`` x ``size`` SVG 1.1 picture with labelled
+    vertices; raises DegenerateLayout only if every layout strategy fails
+    its audit (a bug for valid drawings)."""
     d = d.canonicalize()
     comps = d.map_components()
     placed: list[tuple[dict, dict, tuple[int, ...]]] = []
@@ -383,29 +380,24 @@ def render_svg(d: Drawing, options: SvgOptions | None = None) -> bytes:
     spanx = (max(xs) - min(xs)) or Fraction(1)
     spany = (max(ys) - min(ys)) or Fraction(1)
     scale = min(
-        Fraction(opts.size - 2 * opts.margin) / spanx,
-        Fraction(opts.size - 2 * opts.margin) / spany,
+        Fraction(size - 2 * _MARGIN) / spanx,
+        Fraction(size - 2 * _MARGIN) / spany,
     )
     ox, oy = min(xs), min(ys)
 
     def sp(p: Point) -> tuple[str, str]:
-        x = (p[0] - ox) * scale + opts.margin
-        y = (p[1] - oy) * scale + opts.margin
+        x = (p[0] - ox) * scale + _MARGIN
+        y = (p[1] - oy) * scale + _MARGIN
         return _fmt(x), _fmt(y)
-
-    comp_of: dict[int, int] = {}
-    for pos, mids, comp in placed:
-        for n in comp:
-            comp_of[n] = comp[0]
 
     def node_point(n: int) -> Point:
         return world[n]
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{opts.size}" '
-        f'height="{opts.size}" viewBox="0 0 {opts.size} {opts.size}">',
-        f'<rect width="{opts.size}" height="{opts.size}" fill="#ffffff"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{size}" '
+        f'height="{size}" viewBox="0 0 {size} {size}">',
+        f'<rect width="{size}" height="{size}" fill="#ffffff"/>',
         '<g fill="none" stroke="#1f2937" stroke-width="1.5">',
     ]
     for eid in d.graph.edge_ids():
@@ -425,8 +417,7 @@ def render_svg(d: Drawing, options: SvgOptions | None = None) -> bytes:
     for v in d.graph.vertices:
         x, y = sp(node_point(v))
         lines.append(f'<circle cx="{x}" cy="{y}" r="6" fill="#2563eb"/>')
-        if opts.labels:
-            lines.append(f'<text x="{x}" y="{y}" dy="4" fill="#ffffff">{v}</text>')
+        lines.append(f'<text x="{x}" y="{y}" dy="4" fill="#ffffff">{v}</text>')
     lines.append("</g>")
     lines.append("</svg>")
     return ("\n".join(lines) + "\n").encode()

@@ -121,6 +121,33 @@ def test_cli_validate_bad(tmp_path, capsys):
     assert out["valid"] is False and out["violations"]
 
 
+def test_cli_validate_exact_output(tmp_path, capsys):
+    f = drawing_file(tmp_path, k5_one_crossing())
+    assert main(["validate", f]) == 0
+    assert capsys.readouterr() == ('{"valid":true,"violations":[]}\n', "valid drawing\n")
+    doc = json.loads(serialize_drawing(k4_convex()))
+    for entry in doc["map"]["rotations"]:
+        if entry[0] == 4:
+            entry[1] = [entry[1][0], entry[1][2], entry[1][1], entry[1][3]]
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    assert main(["validate", str(p)]) == 1
+    assert capsys.readouterr() == (
+        '{"valid":false,"violations":['
+        '{"kind":"NonAlternating","locus":"pass darts (3,4) not opposite at node 4"},'
+        '{"kind":"NonAlternating","locus":"pass darts (11,12) not opposite at node 4"}]}\n',
+        "invalid drawing\n",
+    )
+
+
+@pytest.mark.parametrize("spec", ["K-2", "K3,-1", "K-1,2"])
+def test_cli_oracle_rejects_negative_sizes(capsys, spec):
+    assert main(["oracle", spec, "--variant", "cr", "--rule", "zero"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
 def test_validate_reports_edge_path_dart_missing_from_involution(tmp_path, capsys):
     from oddplanar import Drawing, validate_drawing
     from oddplanar.oracle import random_drawing
