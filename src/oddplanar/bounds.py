@@ -271,30 +271,56 @@ def _mean_se(values: list[int]) -> tuple[Fraction, float]:
     return mean, float(var / t) ** 0.5
 
 
-def sampling_experiment(d: Drawing, p, trials: int, seed: int) -> SampleStats:
-    """Sample vertex subsets (each vertex kept independently with
-    probability p), build the induced subdrawings, and compare the
-    empirical means of n', m', x(G') with the exact expectations.  Trial
-    t draws from ``random.Random(seed + t)``, so runs are reproducible
-    and trials are independent.  Every sample is also checked against the
-    universal law x(G') >= 2m' - 8n'."""
-    p = Fraction(p)
-    if not 0 < p <= 1:
-        raise InvalidProbability(f"p = {p} outside (0, 1]")
-    if trials < 1:
-        raise ValueError("need at least one trial")
+# Every this-many-th sampling trial (from trial 0) also builds the induced
+# subdrawing and checks the counted (n', m', x') against it.
+_CROSS_CHECK_EVERY = 64
+
+
+def _sample_counts(d: Drawing, p: Fraction, trials: int, seed: int):
+    """Yield (n', m', x') of the induced subdrawing of trials 0, 1, ...,
+    counted from endpoint sets: an inherited drawing keeps every crossing
+    between surviving edges, so x' is the number of odd pairs of ``d``
+    whose two edges are both kept.  Every 64th trial also builds the
+    induced subdrawing and asserts the same three counts."""
     verts = d.graph.vertices
-    ns: list[int] = []
-    ms: list[int] = []
-    xs: list[int] = []
-    violations = 0
+    ends = [uv for _, uv in d.graph.edges]
+    index = {e: i for i, e in enumerate(d.graph.edge_ids())}
+    odd = [(index[a], index[b]) for a, b in sorted(d.odd_pairs())]
     pf = float(p)
     for t in range(trials):
         rng = random.Random(seed + t)
         vs = {v for v in verts if rng.random() < pf} if p != 1 else set(verts)
-        sub = d.induced_subdrawing(vs)
-        n2, m2 = sub.graph.n, sub.graph.m
-        x2 = len(sub.odd_pairs())
+        kept = [u in vs and v in vs for u, v in ends]
+        counts = (len(vs), sum(kept), sum(1 for a, b in odd if kept[a] and kept[b]))
+        if t % _CROSS_CHECK_EVERY == 0:
+            sub = d.induced_subdrawing(vs)
+            assert counts == (sub.graph.n, sub.graph.m, len(sub.odd_pairs())), "sample counts"
+        yield counts
+
+
+def sampling_experiment(d: Drawing, p, trials: int, seed: int) -> SampleStats:
+    """Sample vertex subsets (each vertex kept independently with
+    probability p) and compare the empirical means of n', m', x(G') of
+    the induced subdrawings with the exact expectations.  Trial t draws
+    from ``random.Random(seed + t)`` with ``seed >= 0``, so runs are
+    reproducible and trials are independent.  Every sample is also
+    checked against the universal law x(G') >= 2m' - 8n'."""
+    try:
+        p = Fraction(p)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise InvalidProbability(f"p = {p!r} is not a number") from None
+    if not 0 < p <= 1:
+        raise InvalidProbability(f"p = {p} outside (0, 1]")
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    if seed < 0:
+        # random.Random(s) seeds with abs(s), so seed + t would repeat subsets.
+        raise ValueError("need seed >= 0")
+    ns: list[int] = []
+    ms: list[int] = []
+    xs: list[int] = []
+    violations = 0
+    for n2, m2, x2 in _sample_counts(d, p, trials, seed):
         ns.append(n2)
         ms.append(m2)
         xs.append(x2)

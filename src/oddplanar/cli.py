@@ -171,7 +171,7 @@ def _cmd_audit(args) -> int:
 
 def _cmd_sample(args) -> int:
     d = _load_drawing(args.file)
-    stats = sampling_experiment(d, Fraction(args.p), args.trials, args.seed)
+    stats = sampling_experiment(d, args.p, args.trials, args.seed)
     doc = {"seed": args.seed, **to_jsonable(stats)}
     _emit(doc, f"seed={args.seed} mean_m={float(stats.mean_m):.4f} (expect {float(stats.expected_m):.4f})")
     return 0

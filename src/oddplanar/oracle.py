@@ -31,9 +31,10 @@ from .surgery import (
     MoveRecord,
     double_crossing_move,
     greedy_embed,
-    insert_edge_shortest,
     quadrangulation_with_diagonals,
     random_planar_triangulation,
+    route_edge,
+    shortest_dual_path,
 )
 from .svg import ccw_key
 
@@ -472,6 +473,22 @@ def exact_crossing_value(
 # ---------------------------------------------------------------------------
 
 
+def _routed_is_k_odd_plane(base: Drawing, crossed: list[int], k: int) -> bool:
+    """Whether ``route_edge`` on ``base`` along the dual path ``crossed``
+    yields a k-odd-plane drawing, decided without building it.  Each
+    crossed dart is one crossing of the new edge with that dart's edge,
+    so the new edge's odd partners are the edges it crosses an odd number
+    of times, each of which gains one partner; no other pair changes
+    parity."""
+    seg_of = base.segment_of_dart()
+    odd: set[int] = set()
+    for x in crossed:
+        odd ^= {seg_of[x][0]}
+    if len(odd) > k or not base.is_k_odd_plane(k):
+        return False
+    return all(base.odd_degree(g) < k for g in odd)
+
+
 @dataclass(frozen=True)
 class SearchResult:
     best: Drawing
@@ -504,6 +521,14 @@ def extremal_search(k: int, n: int, budget: EnumerationBudget, seed: int) -> Sea
     accepted = 0
     start = time.monotonic()
     exhausted = False
+    verts = current.graph.vertices
+    present = {frozenset(uv) for _, uv in current.graph.edges}
+    absent = [
+        (u, v)
+        for i, u in enumerate(verts)
+        for v in verts[i + 1 :]
+        if frozenset((u, v)) not in present
+    ]
     while True:
         if proposals >= budget.max_candidates:
             exhausted = True
@@ -512,39 +537,32 @@ def extremal_search(k: int, n: int, budget: EnumerationBudget, seed: int) -> Sea
             exhausted = True
             break
         proposals += 1
-        verts = current.graph.vertices
-        present = {frozenset(uv) for _, uv in current.graph.edges}
-        absent = [
-            (u, v)
-            for i, u in enumerate(verts)
-            for v in verts[i + 1 :]
-            if frozenset((u, v)) not in present
-        ]
         roll = rng.random()
+        added = base = None
         try:
             if absent and roll < 0.6:
-                u, v = absent[rng.randrange(len(absent))]
+                u, v = added = absent[rng.randrange(len(absent))]
                 eid = max(current.graph.edge_ids()) + 1
-                cand = insert_edge_shortest(
-                    current, eid, u, v, rng=random.Random(f"{seed}:route:{proposals}")
-                )
+                base = current
             elif roll < 0.85 and current.graph.m > 0:
                 eids = current.graph.edge_ids()
-                e = eids[rng.randrange(len(eids))]
-                u, v = current.graph.endpoints(e)
-                cand = insert_edge_shortest(
-                    current.remove_edges({e}),
-                    e,
-                    u,
-                    v,
-                    rng=random.Random(f"{seed}:route:{proposals}"),
-                )
+                eid = eids[rng.randrange(len(eids))]
+                u, v = current.graph.endpoints(eid)
+                base = current.remove_edges({eid})
             else:
                 options = _entangle_options(current)
                 if not options:
                     continue
                 a, b = options[rng.randrange(len(options))]
                 cand, _ = double_crossing_move(current, a, b)
+            if base is not None:
+                uc, vc, crossed = shortest_dual_path(
+                    base, u, v, rng=random.Random(f"{seed}:route:{proposals}")
+                )
+                # Screened before it is built: a rejected route costs no Drawing.
+                if not _routed_is_k_odd_plane(base, crossed, k):
+                    continue
+                cand = route_edge(base, eid, u, v, uc, vc, crossed)
         except ValueError:
             continue
         if not cand.is_k_odd_plane(k):
@@ -552,6 +570,8 @@ def extremal_search(k: int, n: int, budget: EnumerationBudget, seed: int) -> Sea
         if cand.graph.m >= current.graph.m:
             current = cand
             accepted += 1
+            if added is not None:
+                absent.remove(added)
             if current.graph.m > best.graph.m:
                 best = current
     assert best.is_k_odd_plane(k)

@@ -159,27 +159,24 @@ def route_edge(d: Drawing, eid: int, u: int, v: int,
     return Drawing.from_routes(g2, vrot, routes, spins, validate=False)
 
 
-def insert_edge_shortest(d: Drawing, eid: int, u: int, v: int,
-                         rng: random.Random | None = None) -> Drawing:
-    """Insert the edge along a fewest-crossings dual path (breadth-first
-    search over faces, deterministic tie-breaks; ``rng`` shuffles
-    exploration order for seeded variety).  Endpoints in different map
+def shortest_dual_path(d: Drawing, u: int, v: int,
+                       rng: random.Random | None = None) -> tuple[int | None, int | None, list[int]]:
+    """A fewest-crossings dual path from u to v as (u corner, v corner,
+    crossed darts), the arguments :func:`route_edge` takes.  Breadth-first
+    search over faces with deterministic tie-breaks; ``rng`` shuffles the
+    exploration order for seeded variety.  Endpoints in different map
     components are bridged without crossings."""
     if u == v:
         raise ValueError("cannot insert a loop")
     faces = d.faces()
     face_of_dart = d.face_of_dart()
-
-    def corners(vert: int) -> list[int]:
-        return list(d.rotation[vert])
-
-    u_corners = corners(u)
-    v_corners = corners(v)
+    u_corners = list(d.rotation[u])
+    v_corners = list(d.rotation[v])
     if not u_corners or not v_corners:
         # An isolated endpoint floats freely; bridge with no crossings.
         uc = u_corners[0] if u_corners else None
         vc = v_corners[0] if v_corners else None
-        return route_edge(d, eid, u, v, uc, vc, [])
+        return uc, vc, []
 
     v_faces = {face_of_dart[x]: x for x in reversed(v_corners)}
     start = {}
@@ -218,15 +215,20 @@ def insert_edge_shortest(d: Drawing, eid: int, u: int, v: int,
         queue = nxt
     if goal is None:
         # Different map components with no shared face: plain bridge.
-        return route_edge(d, eid, u, v, u_corners[0], v_corners[0], [])
+        return u_corners[0], v_corners[0], []
     crossed: list[int] = []
     f = goal
     while parent[f] is not None:
         f, x = parent[f]
         crossed.append(x)
     crossed.reverse()
-    u_corner = start[f]
-    return route_edge(d, eid, u, v, u_corner, v_faces[goal], crossed)
+    return start[f], v_faces[goal], crossed
+
+
+def insert_edge_shortest(d: Drawing, eid: int, u: int, v: int,
+                         rng: random.Random | None = None) -> Drawing:
+    """Insert the edge along :func:`shortest_dual_path`."""
+    return route_edge(d, eid, u, v, *shortest_dual_path(d, u, v, rng))
 
 
 @dataclass(frozen=True)

@@ -128,27 +128,31 @@ ccw_key = cmp_to_key(_ccw_cmp)
 
 def _seg_intersect_badly(p1: Point, p2: Point, q1: Point, q2: Point, share: bool) -> bool:
     """True if the closed segments meet anywhere besides a shared node
-    endpoint (``share`` marks that they are allowed to touch there)."""
+    endpoint (``share`` marks that they are allowed to touch there).
+    Exact on integer or rational coordinates."""
+    if (
+        max(p1[0], p2[0]) < min(q1[0], q2[0])
+        or max(q1[0], q2[0]) < min(p1[0], p2[0])
+        or max(p1[1], p2[1]) < min(q1[1], q2[1])
+        or max(q1[1], q2[1]) < min(p1[1], p2[1])
+    ):
+        return False  # disjoint bounding boxes share no point
 
     def orient(a, b, c):
         v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
         return (v > 0) - (v < 0)
 
-    def on_seg(a, b, c):
-        return (
-            orient(a, b, c) == 0
-            and min(a[0], b[0]) <= c[0] <= max(a[0], b[0])
-            and min(a[1], b[1]) <= c[1] <= max(a[1], b[1])
-        )
-
     o1, o2 = orient(p1, p2, q1), orient(p1, p2, q2)
     o3, o4 = orient(q1, q2, p1), orient(q1, q2, p2)
-    touches = []
     if o1 != o2 and o3 != o4 and 0 not in (o1, o2, o3, o4):
         return True  # proper crossing
-    for a, b, c in ((p1, p2, q1), (p1, p2, q2), (q1, q2, p1), (q1, q2, p2)):
-        if on_seg(a, b, c):
-            touches.append(c)
+    touches = [
+        c
+        for o, a, b, c in ((o1, p1, p2, q1), (o2, p1, p2, q2), (o3, q1, q2, p1), (o4, q1, q2, p2))
+        if o == 0
+        and min(a[0], b[0]) <= c[0] <= max(a[0], b[0])
+        and min(a[1], b[1]) <= c[1] <= max(a[1], b[1])
+    ]
     if not touches:
         return False
     if not share:
@@ -281,6 +285,11 @@ class _LayoutPlan:
 
     def _verify(self, pos, mids) -> bool:
         d = self.d
+        # Orientation, collinearity and betweenness are invariant under a
+        # positive scale, so the audit runs exactly on integers.
+        unit = math.lcm(*(c.denominator for p in pos.values() for c in p))
+        pos = {k: (x.numerator * (unit // x.denominator), y.numerator * (unit // y.denominator))
+               for k, (x, y) in pos.items()}
         for n in self.comp:
             rot = d.rotation[n]
             if len(rot) < 3:
@@ -341,7 +350,10 @@ def _fmt(x: Fraction) -> str:
 def render_svg(d: Drawing, size: int = 480) -> bytes:
     """Render to a ``size`` x ``size`` SVG 1.1 picture with labelled
     vertices; raises DegenerateLayout only if every layout strategy fails
-    its audit (a bug for valid drawings)."""
+    its audit (a bug for valid drawings).  The picture needs room
+    inside its margins: ``size`` must exceed twice the margin of 30."""
+    if size <= 2 * _MARGIN:
+        raise ValueError(f"size {size} leaves no room inside the {_MARGIN}-unit margins")
     d = d.canonicalize()
     comps = d.map_components()
     placed: list[tuple[dict, dict, tuple[int, ...]]] = []

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -352,3 +353,44 @@ def test_cli_validate_rejects_bool_ids(tmp_path, capsys, section):
     assert main(["validate", str(p)]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("p", ["1/0", "abc", "nan", "0", "3/2"])
+def test_cli_sample_rejects_bad_p_with_one_error_line(tmp_path, capsys, p):
+    f = drawing_file(tmp_path, k5_one_crossing())
+    assert main(["sample", f, "--p", p, "--trials", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_sampling_rejects_negative_seed(tmp_path, capsys):
+    # random.Random(-1) equals random.Random(1): trials 0 and 2 would repeat.
+    with pytest.raises(ValueError, match="seed"):
+        sampling_experiment(k5_one_crossing(), "1/2", trials=3, seed=-1)
+    f = drawing_file(tmp_path, k5_one_crossing())
+    assert main(["sample", f, "--p", "1/2", "--trials", "3", "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert main(["sample", f, "--p", "1/2", "--trials", "3", "--seed", "0"]) == 0
+
+
+@pytest.mark.parametrize("size", [-5, 0, 40, 60])
+def test_cli_render_rejects_size_without_room(tmp_path, capsys, size):
+    f = drawing_file(tmp_path, k5_one_crossing())
+    out_path = tmp_path / "k5.svg"
+    assert main(["render", f, "-o", str(out_path), "--size", str(size)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert not out_path.exists()
+
+
+def test_render_smallest_size_keeps_the_picture_inside():
+    from oddplanar.svg import render_svg
+
+    with pytest.raises(ValueError):
+        render_svg(k5_one_crossing(), 60)
+    data = render_svg(k5_one_crossing(), 61)
+    assert b'width="61"' in data
+    coords = [float(c) for c in re.findall(rb'c[xy]="([^"]+)"', data)]
+    assert coords and all(30 <= c <= 31 for c in coords)
