@@ -2,7 +2,8 @@
 
 Machine-readable canonical JSON goes to stdout, a one-line human summary
 to stderr.  Exit codes: 0 success, 1 validation/precondition failure (or
-a failed audit check), 2 usage error, 3 budget exceeded.
+a failed audit check), 2 usage error, 3 budget exceeded (``oracle`` still
+writes what it proved: the value below which everything is refuted).
 
 Randomized commands (`sample`, `search`) take an explicit ``--seed`` or
 use the documented default 0; the seed used is always echoed in the
@@ -180,13 +181,19 @@ def _cmd_sample(args) -> int:
 def _cmd_oracle(args) -> int:
     g = _named_graph(args.graph)
     budget = _parse_budget(args.budget, args.max_crossings)
-    value = exact_crossing_value(g, args.variant, args.rule, budget)
     doc = {
         "graph": {"n": g.n, "m": g.m},
         "variant": args.variant,
         "rule": args.rule,
         "max_crossings": args.max_crossings,
     }
+    try:
+        value = exact_crossing_value(g, args.variant, args.rule, budget)
+    except BudgetExceeded as exc:
+        doc["lower_bound"] = exc.lower_bound
+        doc["budget_exhausted"] = True
+        _emit(doc, f"budget exceeded: {exc}; every value below {exc.lower_bound} refuted")
+        return 3
     if isinstance(value, LowerBoundOnly):
         doc["lower_bound_only"] = value.bound
         _emit(doc, f"no admissible drawing within budget; bound {value.bound}")
@@ -295,9 +302,6 @@ def main(argv=None) -> int:
     except (ValueError, FileNotFoundError, DegenerateLayout) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except BudgetExceeded as exc:
-        sys.stderr.write(f"budget exceeded: {exc}\n")
-        return 3
 
 
 if __name__ == "__main__":

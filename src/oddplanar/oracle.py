@@ -31,6 +31,7 @@ from .surgery import (
     MoveRecord,
     double_crossing_move,
     greedy_embed,
+    planar_embedding,
     quadrangulation_with_diagonals,
     random_planar_triangulation,
     route_edge,
@@ -39,7 +40,13 @@ from .surgery import (
 from .svg import ccw_key
 
 class BudgetExceeded(Exception):
-    pass
+    """The candidate or time budget ran out.  ``lower_bound`` is set by
+    :func:`exact_crossing_value`: every smaller value is already refuted
+    within the crossing budget (None where nothing is proved)."""
+
+    def __init__(self, message: str, lower_bound: int | None = None) -> None:
+        super().__init__(message)
+        self.lower_bound = lower_bound
 
 
 @dataclass(frozen=True)
@@ -174,8 +181,9 @@ def random_drawing(g: Multigraph, seed: int, model: str = "convex", moves: int |
 
     ``convex``: chord diagram in convex position with exact crossing
     extraction.  ``perturbed-even``: a crossing-free embedding (greedy
-    face insertion; the graph must be planar) entangled by seeded
-    double-crossing moves, so every pair of edges crosses evenly.
+    face insertion, falling back to the exact embedding; the graph must
+    be planar) entangled by seeded double-crossing moves, so every pair
+    of edges crosses evenly.
     """
     if not g.is_simple:
         raise ValueError("generators take simple graphs")
@@ -382,15 +390,12 @@ def _counting_prune(g: Multigraph, crossings: int) -> bool:
 
 
 def _realizable(g: Multigraph, multiset, max_ticks: int) -> tuple[bool | None, int]:
-    """(found, ticks) where found is None if the tick budget ran out."""
+    """(found, ticks) where found is None if the tick budget ran out.  The
+    empty multiset is decided exactly by the planar embedder, one tick."""
     if _counting_prune(g, len(multiset)):
         return False, 0
     if not multiset:
-        try:
-            greedy_embed(g, seed=0, attempts=64)
-            return True, 1
-        except ValueError:
-            pass
+        return planar_embedding(g) is not None, 1
     ticks = 0
 
     def tick():
@@ -412,8 +417,11 @@ def exact_crossing_value(
     admissible under the rule with at most ``budget.max_crossings``
     crossings.  The value is exact whenever the true optimum is attained
     within the crossing budget (the caller chooses the budget; planar
-    verdicts at 0 are always exact).  Returns LowerBoundOnly when the
-    enumerated space contains no admissible drawing.
+    verdicts at 0 are always exact, from :func:`planar_embedding`).
+    Returns LowerBoundOnly when the enumerated space contains no
+    admissible drawing.  When the budget runs out while multisets of
+    value v are tested, the raised BudgetExceeded carries v as its
+    ``lower_bound``: every smaller value has been refuted.
 
     Candidate multisets are processed serially in (value, multiset) order
     with pruning, so the search stops as soon as no better value is
@@ -431,21 +439,21 @@ def exact_crossing_value(
     start = time.monotonic()
     remaining = budget.max_candidates
 
-    def realizable(multiset) -> bool:
+    def realizable(multiset, val: int) -> bool:
         nonlocal remaining
         if time.monotonic() - start > budget.time_limit:
-            raise BudgetExceeded("time budget exhausted")
+            raise BudgetExceeded("time budget exhausted", val)
         if remaining <= 0:
-            raise BudgetExceeded("candidate budget exhausted")
+            raise BudgetExceeded("candidate budget exhausted", val)
         found, used = _realizable(g, multiset, remaining)
         remaining -= used
         if found is None:
-            raise BudgetExceeded("candidate budget exhausted")
+            raise BudgetExceeded("candidate budget exhausted", val)
         return found
 
     # The empty multiset would sort first with value 0 under every variant
     # and rule, so a planar verdict needs no candidate list.
-    if realizable(()):
+    if realizable((), 0):
         return 0
 
     def adjacent(p):
@@ -463,7 +471,7 @@ def exact_crossing_value(
     # tend to be independent, and failed sweeps are the expensive part.
     candidates.sort()
     for val, _, multiset in candidates:
-        if realizable(multiset):
+        if realizable(multiset, val):
             return val
     return LowerBoundOnly(budget.max_crossings + 1)
 

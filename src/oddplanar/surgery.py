@@ -454,10 +454,205 @@ def quadrangulation_with_diagonals(n: int, seed: int) -> Drawing:
     return add_diagonals(random_quadrangulation(n, seed))
 
 
+def _blocks(adj: dict[int, list[int]]) -> list[list[tuple[int, int]]]:
+    """Biconnected blocks of a simple graph as edge lists, by an iterative
+    depth-first search with an edge stack (Hopcroft and Tarjan)."""
+    disc: dict[int, int] = {}
+    low: dict[int, int] = {}
+    edges: list[tuple[int, int]] = []
+    blocks: list[list[tuple[int, int]]] = []
+    for root in adj:
+        if root in disc:
+            continue
+        disc[root] = low[root] = len(disc)
+        # (vertex, parent, neighbour iterator, stack index of the tree edge)
+        work = [(root, None, iter(adj[root]), 0)]
+        while work:
+            v, parent, it, mark = work[-1]
+            for w in it:
+                if w == parent:
+                    continue
+                if w not in disc:
+                    disc[w] = low[w] = len(disc)
+                    work.append((w, v, iter(adj[w]), len(edges)))
+                    edges.append((v, w))
+                    break
+                if disc[w] < disc[v]:
+                    edges.append((v, w))
+                    low[v] = min(low[v], disc[w])
+            else:
+                work.pop()
+                if parent is None:
+                    continue
+                low[parent] = min(low[parent], low[v])
+                if low[v] >= disc[parent]:
+                    blocks.append(edges[mark:])
+                    del edges[mark:]
+    return blocks
+
+
+def _embed_block(block: list[tuple[int, int]]) -> dict[int, list[int]] | None:
+    """Clockwise neighbour lists of a plane embedding of one biconnected
+    block of a simple graph, or None if the block is nonplanar.
+
+    Demoucron, Malgrange and Pertuiset (1964): embed a cycle, then
+    repeatedly take the fragments of the rest (an unembedded edge between
+    embedded vertices, or a component of unembedded vertices with its
+    edges to the embedded part), find the faces holding all of each
+    fragment's attachments, and lay a path of the fragment with the fewest
+    such faces into one of them.  A fragment with no admissible face proves
+    the block nonplanar.  Every face stays a simple cycle, stored as its
+    vertex list in walk order: at face[i] the next vertex face[i + 1]
+    follows face[i - 1] clockwise, as in :meth:`Drawing.faces`."""
+    adj: dict[int, list[int]] = {}
+    for u, v in block:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    a, b = block[0]
+    if len(block) == 1:
+        return {a: [b], b: [a]}
+    # A cycle through the first edge: a shortest b-a path avoiding it.
+    parent = {b: None}
+    queue = [b]
+    for x in queue:
+        for y in adj[x]:
+            if y not in parent and (x, y) != (b, a):
+                parent[y] = x
+                queue.append(y)
+    cycle = [a]
+    while cycle[-1] != b:
+        cycle.append(parent[cycle[-1]])
+    k = len(cycle)
+    rot = {c: [cycle[i - 1], cycle[(i + 1) % k]] for i, c in enumerate(cycle)}
+    faces = [cycle, cycle[::-1]]
+    faces_at = {c: {0, 1} for c in cycle}
+    done = {frozenset((cycle[i - 1], c)) for i, c in enumerate(cycle)}
+    while len(done) < len(block):
+        best = None
+        for attach, path in _fragments(adj, rot, done):
+            ok = set.intersection(*(faces_at[x] for x in attach))
+            if not ok:
+                return None
+            if best is None or len(ok) < len(best[0]):
+                best = (ok, path)
+        ok, path = best
+        fi = min(ok)
+        face = faces[fi]
+        i = face.index(path[0])
+        face = face[i:] + face[:i]
+        j = face.index(path[-1])
+        for x, prev, new in ((path[0], face[-1], path[1]), (path[-1], face[j - 1], path[-2])):
+            r = rot[x]
+            r.insert(r.index(prev) + 1, new)
+        for h in range(1, len(path) - 1):
+            rot[path[h]] = [path[h - 1], path[h + 1]]
+            faces_at[path[h]] = {fi}
+        for h in range(1, len(path)):
+            done.add(frozenset(path[h - 1 : h + 1]))
+        other = path[::-1] + face[1:j]
+        faces[fi] = path + face[j + 1 :]
+        for x in face[1:j]:
+            faces_at[x].discard(fi)
+        for x in other:
+            faces_at[x].add(len(faces))
+        faces.append(other)
+    return rot
+
+
+def _fragments(adj: dict[int, list[int]], rot: dict[int, list[int]], done: set):
+    """(attachments, path) of each fragment of the embedded part ``rot``:
+    the path joins two distinct attachments through the fragment."""
+    for u in rot:
+        for v in adj[u]:
+            if u < v and v in rot and frozenset((u, v)) not in done:
+                yield (u, v), [u, v]
+    seen: set[int] = set()
+    for start in adj:
+        if start in rot or start in seen:
+            continue
+        seen.add(start)
+        comp = [start]
+        attach: dict[int, None] = {}
+        for x in comp:
+            for y in adj[x]:
+                if y in rot:
+                    attach[y] = None
+                elif y not in seen:
+                    seen.add(y)
+                    comp.append(y)
+        # In a biconnected block every fragment has two attachments; walk
+        # from the first one into the fragment until another is adjacent.
+        a = next(iter(attach))
+        inside = set(comp)
+        parent = {y: a for y in adj[a] if y in inside}
+        queue = list(parent)
+        for x in queue:
+            end = next((y for y in adj[x] if y in rot and y != a), None)
+            if end is not None:
+                path = [end, x]
+                while path[-1] != a:
+                    path.append(parent[path[-1]])
+                yield tuple(attach), path
+                break
+            for y in adj[x]:
+                if y in inside and y not in parent:
+                    parent[y] = x
+                    queue.append(y)
+
+
+def planar_embedding(g: Multigraph) -> Drawing | None:
+    """A crossing-free drawing of g, or None iff g is nonplanar.
+
+    Exact for every multigraph.  The simple skeleton (one edge per
+    adjacent vertex pair) is split into biconnected blocks, each block is
+    embedded by path addition (:func:`_embed_block`), and the blocks are
+    glued at their cut vertices by concatenating their rotations.  Loops
+    and parallel copies never change planarity: each parallel copy goes
+    beside its twin and each loop into a corner of its own.  The only map
+    built is the final one, which is validated."""
+    copies: dict[tuple[int, int], list[int]] = {}
+    loops: dict[int, list[int]] = {}
+    for eid, (u, v) in g.edges:
+        if u == v:
+            loops.setdefault(u, []).append(eid)
+        else:
+            copies.setdefault((min(u, v), max(u, v)), []).append(eid)
+    adj: dict[int, list[int]] = {v: [] for v in g.vertices}
+    for u, v in copies:
+        adj[u].append(v)
+        adj[v].append(u)
+    around: dict[int, list[int]] = {v: [] for v in g.vertices}
+    for block in _blocks(adj):
+        rot = _embed_block(block)
+        if rot is None:
+            return None
+        for v, r in rot.items():
+            around[v].extend(r)
+    vrot: dict[int, list[Ending]] = {}
+    for v in g.vertices:
+        out: list[Ending] = []
+        for w in around[v]:
+            # Copies run in id order at the smaller end and reversed at the
+            # larger, so consecutive copies bound a 2-gon.
+            group = copies[(v, w)] if v < w else copies[(w, v)][::-1]
+            out.extend((e, 0 if g.endpoints(e)[0] == v else 1) for e in group)
+        for e in loops.get(v, ()):
+            out.extend(((e, 0), (e, 1)))
+        vrot[v] = out
+    d = Drawing.crossing_free(g, vrot, validate=False)
+    assert not d.validate(), "planar embedding produced an invalid map"
+    return d
+
+
 def greedy_embed(g: Multigraph, seed: int, attempts: int = 200) -> Drawing:
     """Crossing-free drawing of a planar graph by inserting edges one at a
     time into common faces, restarting with reshuffled insertion orders.
-    Raises if no attempt succeeds (in particular for nonplanar input)."""
+    The seeded attempts give varied drawings; when they all fail, the
+    exact :func:`planar_embedding` is returned.  Raises ValueError at
+    once if g is nonplanar."""
+    exact = planar_embedding(g)
+    if exact is None:
+        raise ValueError("graph is nonplanar")
     for attempt in range(attempts):
         rng = random.Random(f"{seed}:embed:{attempt}")
         order = list(g.edge_ids())
@@ -479,4 +674,4 @@ def greedy_embed(g: Multigraph, seed: int, attempts: int = 200) -> Drawing:
             d = d2
         if ok:
             return d
-    raise ValueError("no crossing-free embedding found (graph nonplanar or unlucky order)")
+    return exact

@@ -248,6 +248,30 @@ def test_cli_oracle_budget_exceeded(capsys):
     assert rc == 3
 
 
+def test_cli_oracle_budget_exceeded_reports_the_proved_bound(capsys):
+    rc = main(["oracle", "K5", "--variant", "cr", "--rule", "zero", "--budget", "candidates=10"])
+    assert rc == 3
+    out = capsys.readouterr().out
+    assert json.loads(out) == {
+        "graph": {"n": 5, "m": 10},
+        "variant": "cr",
+        "rule": "zero",
+        "max_crossings": 1,
+        "lower_bound": 1,
+        "budget_exhausted": True,
+    }
+
+
+def test_cli_oracle_planar_graph_greedy_insertion_misses(tmp_path, capsys):
+    from oddplanar.surgery import random_planar_drawing
+
+    p = tmp_path / "g.json"
+    p.write_bytes(serialize_graph(random_planar_drawing(12, 1, deletions=3).graph))
+    assert main(["oracle", str(p), "--variant", "cr", "--rule", "zero"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["value"] == 0 and out["graph"] == {"n": 12, "m": 27}
+
+
 def test_cli_search(capsys):
     assert main(["search", "--k", "0", "--n", "5", "--budget", "candidates=10", "--seed", "1"]) == 0
     out = json.loads(capsys.readouterr().out)

@@ -14,6 +14,7 @@ from oddplanar.oracle import (
     BudgetExceeded,
     EnumerationBudget,
     LowerBoundOnly,
+    _realizable,
     enumerate_drawings,
     exact_crossing_value,
     extremal_search,
@@ -65,6 +66,16 @@ def test_perturbed_even_model():
     assert validate_drawing(d) == []
     assert len(d.crossing_nodes()) == 6
     assert d.odd_pairs() == frozenset()
+
+
+def test_perturbed_even_accepts_planar_graphs_greedy_insertion_misses():
+    # greedy insertion runs out of seeded attempts on each of these
+    for n in (12, 15, 20, 30):
+        g = random_planar_drawing(n, 1, deletions=3).graph
+        d = random_drawing(g, seed=1, model="perturbed-even")
+        assert validate_drawing(d) == []
+        assert d.graph == g
+        assert d.odd_pairs() == frozenset()
 
 
 def test_perturb_even_keeps_all_pairs_even():
@@ -156,6 +167,29 @@ def test_exact_k33_rule_zero_all_one():
     assert exact_crossing_value(g, "cr", "zero", SMALL) == 1
     assert exact_crossing_value(g, "pcr", "zero", SMALL) == 1
     assert exact_crossing_value(g, "ocr", "zero", SMALL) == 1
+
+
+def test_planar_verdict_is_exact_without_enumeration():
+    # one tick: the embedder alone decides the empty multiset
+    k33 = complete_bipartite(3, 3)
+    # K3,3 with edge 0 subdivided by a new vertex 6
+    g = Multigraph(tuple(range(7)), k33.edges[1:] + ((0, (0, 6)), (9, (6, 3))))
+    assert _realizable(g, (), 10**6) == (False, 1)
+    assert exact_crossing_value(g, "cr", "zero", SMALL) == 1
+    assert _realizable(random_planar_drawing(12, 1, deletions=3).graph, (), 10**6) == (True, 1)
+
+
+def test_budget_exhaustion_carries_the_refuted_range():
+    k5 = complete_graph(5)
+    # 0 is refuted by counting, so the budget runs out while value 1 is tested
+    with pytest.raises(BudgetExceeded) as info:
+        exact_crossing_value(k5, "cr", "zero", EnumerationBudget(1, 10, 60.0))
+    assert info.value.lower_bound == 1
+    # with no budget at all nothing is proved
+    for g in (k5, cycle_graph(4)):
+        with pytest.raises(BudgetExceeded) as info:
+            exact_crossing_value(g, "cr", "zero", EnumerationBudget(1, 0, 60.0))
+        assert info.value.lower_bound == 0
 
 
 def test_exact_rejects_star_with_cr():

@@ -8,6 +8,7 @@ from oddplanar.surgery import (
     greedy_embed,
     insert_edge_shortest,
     insert_vertex_in_face,
+    planar_embedding,
     quadrangulation_with_diagonals,
     random_planar_drawing,
     random_planar_triangulation,
@@ -110,8 +111,16 @@ def test_greedy_embed_planar_and_nonplanar():
     d = greedy_embed(complete_graph(4), seed=0)
     assert validate_drawing(d) == []
     assert len(d.crossing_nodes()) == 0
-    with pytest.raises(ValueError):
-        greedy_embed(complete_graph(5), seed=0, attempts=8)
+    with pytest.raises(ValueError, match="graph is nonplanar"):
+        greedy_embed(complete_graph(5), seed=0)
+
+
+def test_greedy_embed_falls_back_to_the_exact_embedding():
+    # every seeded attempt fails on this planar graph
+    g = random_planar_drawing(12, 1, deletions=3).graph
+    d = greedy_embed(g, seed=1, attempts=3)
+    assert d == planar_embedding(g)
+    assert validate_drawing(d) == [] and d.crossing_nodes() == ()
 
 
 def test_generators_deterministic():
