@@ -270,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--variant", choices=("cr", "pcr", "ocr"), required=True)
     s.add_argument("--rule", choices=("plus", "zero", "minus", "star"), required=True)
     s.add_argument("--max-crossings", type=int, default=1)
-    s.add_argument("--budget", default="", help="candidates=N,time=SECONDS")
+    s.add_argument("--budget", default="",
+                   help="candidates=N,time=SECONDS (N counts planarizations tested)")
     s.set_defaults(fn=_cmd_oracle)
 
     s = sub.add_parser("search", help="stochastic dense-drawing explorer")

@@ -5,16 +5,20 @@ the crossing-number variants over the enumerated space, seeded random
 drawing generators, and a stochastic explorer for dense drawings with
 bounded odd crossings per edge.
 
-Enumeration never touches the redrawing machinery: a candidate is a
-crossing-pair multiset, a rotation system, per-edge crossing orders and
-per-crossing spins, and the only referee is the sphere (Euler) check.
-Drawings whose edges cross themselves are not enumerated: smoothing a
-self-crossing preserves every pairwise crossing count exactly, so no
-minimum over drawings changes by ignoring them.
+Neither method touches the redrawing machinery.  Exact values decide
+each crossing-pair multiset with planarity tests: one per choice of
+per-edge crossing orders, on the planarization with a wheel around every
+crossing.  Drawing enumeration lists candidates (a multiset, a rotation
+system, crossing orders and spins), and its only referee is the sphere
+(Euler) check; it doubles as an independent check of the planarity
+verdicts.  Drawings whose edges cross themselves are not considered:
+smoothing a self-crossing preserves every pairwise crossing count
+exactly, so no minimum over drawings changes by ignoring them.
 
-Budgets are counted in candidate drawings examined.  The candidate limit
-is enforced deterministically; the time limit is a safety net and should
-not be used to pin down results.
+Budgets count planarizations tested for exact values and candidate
+drawings examined for enumeration.  The candidate limit is enforced
+deterministically; the time limit is a safety net and should not be used
+to pin down results.
 """
 from __future__ import annotations
 
@@ -31,7 +35,7 @@ from .surgery import (
     MoveRecord,
     double_crossing_move,
     greedy_embed,
-    planar_embedding,
+    planar_rotations,
     quadrangulation_with_diagonals,
     random_planar_triangulation,
     route_edge,
@@ -56,8 +60,9 @@ class EnumerationBudget:
     time_limit: float = 300.0
 
     def __post_init__(self) -> None:
-        if self.max_crossings < 0 or self.max_candidates < 0 or self.time_limit < 0:
-            raise ValueError("budget fields must be nonnegative")
+        # "not >=" also rejects NaN, for which every comparison is false
+        if self.max_crossings < 0 or self.max_candidates < 0 or not self.time_limit >= 0:
+            raise ValueError("budget fields must be nonnegative numbers")
 
 
 @dataclass(frozen=True)
@@ -376,26 +381,90 @@ def _triangle_free(g: Multigraph) -> bool:
     return all(not (nbrs[u] & nbrs[v]) for _, (u, v) in g.edges)
 
 
-def _counting_prune(g: Multigraph, crossings: int) -> bool:
-    """True if no drawing of the simple graph g can have this few
-    crossings.  Deleting one edge per crossing leaves a planar simple
+def _counting_lower_bound(g: Multigraph) -> int:
+    """Fewest crossings a drawing of the simple graph g can have by
+    counting.  Deleting one edge per crossing leaves a planar simple
     subgraph, so a drawing with c crossings forces m - c <= 3n - 6; if g is
     triangle-free the subgraph is too, and every face of a triangle-free
     plane graph with n >= 3 has length >= 4, which forces m - c <= 2n - 4."""
     if g.n < 3:
-        return False
-    if crossings < g.m - (3 * g.n - 6):
-        return True
-    return crossings < g.m - (2 * g.n - 4) and _triangle_free(g)
+        return 0
+    bound = g.m - (3 * g.n - 6)
+    if g.m > 2 * g.n - 4 and _triangle_free(g):
+        bound = g.m - (2 * g.n - 4)
+    return max(bound, 0)
+
+
+def _planarization_witness(g: Multigraph, multiset: tuple[tuple[int, int], ...], tick) -> Drawing | None:
+    """A drawing whose crossing-pair multiset is exactly ``multiset``, or
+    None if there is none; ``tick`` is called once per planarity test.
+
+    For each choice of per-edge crossing orders the planarization is
+    built: every crossing becomes a hub node, each of its four half-edges
+    is subdivided, and the four subdivision nodes are joined in a rim
+    cycle (P before, Q before, P after, Q after).  The wheel is
+    3-connected, so every plane embedding passes the two edges through
+    the hub transversally, with either spin; conversely the rim of a
+    drawn crossing can follow the corners around it.  So a drawing with
+    these orders exists iff the planarization is planar.  A positive
+    verdict is mapped back to vertex rotations, routes and spins and
+    built as one validated ``Drawing``."""
+    eids = g.edge_ids()
+    on_edge: dict[int, list[int]] = {e: [] for e in eids}
+    for cid, (e, f) in enumerate(multiset):
+        on_edge[e].append(cid)
+        on_edge[f].append(cid)
+    hub = max(g.vertices, default=-1) + 1
+    for orders in product(*(permutations(on_edge[e]) for e in eids)):
+        tick()
+        adj: dict[int, list[int]] = {v: [] for v in g.vertices}
+        # Per crossing: the subdivision nodes (P before, P after, Q before,
+        # Q after), P the pass on the smaller edge id as in ``Drawing``.
+        ports = [[0, 0, 0, 0] for _ in multiset]
+        ending_at: dict[tuple[int, int], Ending] = {}
+        fresh = hub + len(multiset)
+        for e, order in zip(eids, orders):
+            u, v = g.endpoints(e)
+            path = [u]
+            for cid in order:
+                k = 0 if e == min(multiset[cid]) else 2
+                ports[cid][k], ports[cid][k + 1] = fresh, fresh + 1
+                path += [fresh, hub + cid, fresh + 1]
+                fresh += 2
+            path.append(v)
+            for x, y in zip(path, path[1:]):
+                adj.setdefault(x, []).append(y)
+                adj.setdefault(y, []).append(x)
+            ending_at[(u, path[1])] = (e, 0)
+            ending_at[(v, path[-2])] = (e, 1)
+        for p_in, p_out, q_in, q_out in ports:
+            rim = (p_in, q_in, p_out, q_out)
+            for x, y in zip(rim, rim[1:] + rim[:1]):
+                adj[x].append(y)
+                adj[y].append(x)
+        rot = planar_rotations(adj)
+        if rot is None:
+            continue
+        vrot = {v: tuple(ending_at[(v, w)] for w in rot[v]) for v in g.vertices}
+        spins = {}
+        for cid, (p_in, _, q_in, _) in enumerate(ports):
+            r = rot[hub + cid]
+            spins[cid] = r[(r.index(p_in) + 1) % 4] == q_in  # clockwise (P_in, Q_in, P_out, Q_out)
+        d = Drawing.from_routes(g, vrot, dict(zip(eids, orders)), spins, validate=False)
+        assert not d.validate(), "planarity test accepted an invalid drawing"
+        # With no crossing every route is empty, so there is nothing to compare.
+        assert not multiset or sorted(
+            (e, f) for (e, _), (f, _) in d.crossing_passes().values()
+        ) == sorted(multiset), "planarity witness has the wrong crossings"
+        return d
+    return None
 
 
 def _realizable(g: Multigraph, multiset, max_ticks: int) -> tuple[bool | None, int]:
-    """(found, ticks) where found is None if the tick budget ran out.  The
-    empty multiset is decided exactly by the planar embedder, one tick."""
-    if _counting_prune(g, len(multiset)):
+    """(found, ticks) where found is None if the tick budget ran out; one
+    tick per planarity test of :func:`_planarization_witness`."""
+    if len(multiset) < _counting_lower_bound(g):
         return False, 0
-    if not multiset:
-        return planar_embedding(g) is not None, 1
     ticks = 0
 
     def tick():
@@ -405,7 +474,7 @@ def _realizable(g: Multigraph, multiset, max_ticks: int) -> tuple[bool | None, i
             raise BudgetExceeded("realizability tick budget")
 
     try:
-        return next(_realizations(g, multiset, tick), None) is not None, ticks
+        return _planarization_witness(g, multiset, tick) is not None, ticks
     except BudgetExceeded:
         return None, ticks
 
@@ -416,8 +485,8 @@ def exact_crossing_value(
     """Minimum of the chosen crossing-number variant over all drawings
     admissible under the rule with at most ``budget.max_crossings``
     crossings.  The value is exact whenever the true optimum is attained
-    within the crossing budget (the caller chooses the budget; planar
-    verdicts at 0 are always exact, from :func:`planar_embedding`).
+    within the crossing budget (the caller chooses the budget); each
+    multiset is decided exactly by :func:`_planarization_witness`.
     Returns LowerBoundOnly when the enumerated space contains no
     admissible drawing.  When the budget runs out while multisets of
     value v are tested, the raised BudgetExceeded carries v as its
@@ -456,12 +525,15 @@ def exact_crossing_value(
     if realizable((), 0):
         return 0
 
-    def adjacent(p):
-        return g.adjacent(*p)
-
+    # Smaller multisets are refuted by counting alone, without a test; the
+    # m^2 edge pairs are listed only if some size survives.
+    low = max(1, _counting_lower_bound(g))
+    if low > budget.max_crossings:
+        return LowerBoundOnly(budget.max_crossings + 1)
     pairs = sorted(combinations(sorted(g.edge_ids()), 2))
+    adjacent = frozenset(p for p in pairs if g.adjacent(*p)).__contains__
     candidates: list[tuple[int, int, tuple]] = []
-    for size in range(1, budget.max_crossings + 1):
+    for size in range(low, budget.max_crossings + 1):
         for multiset in combinations_with_replacement(pairs, size):
             ok, val = _multiset_value(multiset, variant, rule, adjacent)
             if ok:

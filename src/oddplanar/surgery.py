@@ -600,14 +600,29 @@ def _fragments(adj: dict[int, list[int]], rot: dict[int, list[int]], done: set):
                     queue.append(y)
 
 
+def planar_rotations(adj: dict[int, list[int]]) -> dict[int, list[int]] | None:
+    """Clockwise neighbour lists of a plane embedding of the simple graph
+    with adjacency lists ``adj``, or None iff it is nonplanar.
+
+    The graph is split into biconnected blocks, each block is embedded by
+    path addition (:func:`_embed_block`), and the blocks are glued at
+    their cut vertices by concatenating their rotations.  No map is built."""
+    around: dict[int, list[int]] = {v: [] for v in adj}
+    for block in _blocks(adj):
+        rot = _embed_block(block)
+        if rot is None:
+            return None
+        for v, r in rot.items():
+            around[v].extend(r)
+    return around
+
+
 def planar_embedding(g: Multigraph) -> Drawing | None:
     """A crossing-free drawing of g, or None iff g is nonplanar.
 
-    Exact for every multigraph.  The simple skeleton (one edge per
-    adjacent vertex pair) is split into biconnected blocks, each block is
-    embedded by path addition (:func:`_embed_block`), and the blocks are
-    glued at their cut vertices by concatenating their rotations.  Loops
-    and parallel copies never change planarity: each parallel copy goes
+    Exact for every multigraph: the simple skeleton (one edge per adjacent
+    vertex pair) is embedded by :func:`planar_rotations`.  Loops and
+    parallel copies never change planarity: each parallel copy goes
     beside its twin and each loop into a corner of its own.  The only map
     built is the final one, which is validated."""
     copies: dict[tuple[int, int], list[int]] = {}
@@ -621,13 +636,9 @@ def planar_embedding(g: Multigraph) -> Drawing | None:
     for u, v in copies:
         adj[u].append(v)
         adj[v].append(u)
-    around: dict[int, list[int]] = {v: [] for v in g.vertices}
-    for block in _blocks(adj):
-        rot = _embed_block(block)
-        if rot is None:
-            return None
-        for v, r in rot.items():
-            around[v].extend(r)
+    around = planar_rotations(adj)
+    if around is None:
+        return None
     vrot: dict[int, list[Ending]] = {}
     for v in g.vertices:
         out: list[Ending] = []

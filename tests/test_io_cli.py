@@ -243,23 +243,44 @@ def test_cli_oracle(capsys):
 
 def test_cli_oracle_budget_exceeded(capsys):
     rc = main(
-        ["oracle", "K3,3", "--variant", "cr", "--rule", "zero", "--budget", "candidates=3"]
+        ["oracle", "K3,3", "--variant", "cr", "--rule", "zero", "--budget", "candidates=0"]
     )
     assert rc == 3
 
 
 def test_cli_oracle_budget_exceeded_reports_the_proved_bound(capsys):
-    rc = main(["oracle", "K5", "--variant", "cr", "--rule", "zero", "--budget", "candidates=10"])
+    # 0 is refuted by counting and the 30 single adjacent crossings (value
+    # 0 under rule minus) by one planarity test each, then the budget is out
+    rc = main(["oracle", "K5", "--variant", "pcr", "--rule", "minus", "--budget", "candidates=30"])
     assert rc == 3
     out = capsys.readouterr().out
     assert json.loads(out) == {
         "graph": {"n": 5, "m": 10},
-        "variant": "cr",
-        "rule": "zero",
+        "variant": "pcr",
+        "rule": "minus",
         "max_crossings": 1,
         "lower_bound": 1,
         "budget_exhausted": True,
     }
+
+
+@pytest.mark.parametrize("variant", ["cr", "pcr", "ocr"])
+def test_cli_oracle_k5_rule_minus_at_the_default_budget(capsys, variant):
+    assert main(["oracle", "K5", "--variant", variant, "--rule", "minus"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == 1
+
+
+def test_cli_oracle_k34_two_crossings(capsys):
+    assert main(["oracle", "K3,4", "--variant", "cr", "--rule", "zero", "--max-crossings", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == 2
+
+
+@pytest.mark.parametrize("budget", ["time=nan", "time=-1", "candidates=-1"])
+def test_cli_oracle_rejects_bad_budgets_with_one_error_line(capsys, budget):
+    assert main(["oracle", "K3,3", "--variant", "cr", "--rule", "zero", "--budget", budget]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
 def test_cli_oracle_planar_graph_greedy_insertion_misses(tmp_path, capsys):

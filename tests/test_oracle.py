@@ -181,15 +181,24 @@ def test_planar_verdict_is_exact_without_enumeration():
 
 def test_budget_exhaustion_carries_the_refuted_range():
     k5 = complete_graph(5)
-    # 0 is refuted by counting, so the budget runs out while value 1 is tested
+    # 0 is refuted by counting and by the 30 single adjacent crossings (one
+    # planarity test each), so the budget runs out while value 1 is tested
     with pytest.raises(BudgetExceeded) as info:
-        exact_crossing_value(k5, "cr", "zero", EnumerationBudget(1, 10, 60.0))
+        exact_crossing_value(k5, "pcr", "minus", EnumerationBudget(1, 30, 60.0))
     assert info.value.lower_bound == 1
     # with no budget at all nothing is proved
     for g in (k5, cycle_graph(4)):
         with pytest.raises(BudgetExceeded) as info:
             exact_crossing_value(g, "cr", "zero", EnumerationBudget(1, 0, 60.0))
         assert info.value.lower_bound == 0
+
+
+def test_sizes_below_the_counting_bound_list_no_edge_pairs():
+    # K300 has 44,850 edges, so listing its edge pairs would not finish
+    g = complete_graph(300)
+    for max_crossings in (0, 2):
+        budget = EnumerationBudget(max_crossings, 10, 60.0)
+        assert exact_crossing_value(g, "cr", "zero", budget) == LowerBoundOnly(max_crossings + 1)
 
 
 def test_exact_rejects_star_with_cr():
