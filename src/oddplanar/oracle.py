@@ -185,17 +185,16 @@ def random_drawing(g: Multigraph, seed: int, model: str = "convex", moves: int |
     """Deterministic seeded drawing generator.
 
     ``convex``: chord diagram in convex position with exact crossing
-    extraction.  ``perturbed-even``: a crossing-free embedding (greedy
-    face insertion, falling back to the exact embedding; the graph must
-    be planar) entangled by seeded double-crossing moves, so every pair
-    of edges crosses evenly.
+    extraction.  ``perturbed-even``: the exact crossing-free embedding
+    (:func:`greedy_embed`; the graph must be planar) entangled by seeded
+    double-crossing moves, so every pair of edges crosses evenly.
     """
     if not g.is_simple:
         raise ValueError("generators take simple graphs")
     if model == "convex":
         return _convex_drawing(g, seed)
     if model == "perturbed-even":
-        base = greedy_embed(g, seed)
+        base = greedy_embed(g)
         rng = random.Random(f"{seed}:nmoves")
         n_moves = moves if moves is not None else rng.randint(1, 4)
         out, _ = perturb_even(base, n_moves, seed)

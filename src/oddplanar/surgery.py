@@ -655,34 +655,10 @@ def planar_embedding(g: Multigraph) -> Drawing | None:
     return d
 
 
-def greedy_embed(g: Multigraph, seed: int, attempts: int = 200) -> Drawing:
-    """Crossing-free drawing of a planar graph by inserting edges one at a
-    time into common faces, restarting with reshuffled insertion orders.
-    The seeded attempts give varied drawings; when they all fail, the
-    exact :func:`planar_embedding` is returned.  Raises ValueError at
-    once if g is nonplanar."""
-    exact = planar_embedding(g)
-    if exact is None:
+def greedy_embed(g: Multigraph) -> Drawing:
+    """Crossing-free drawing of a planar graph: :func:`planar_embedding`.
+    Raises ValueError if g is nonplanar."""
+    d = planar_embedding(g)
+    if d is None:
         raise ValueError("graph is nonplanar")
-    for attempt in range(attempts):
-        rng = random.Random(f"{seed}:embed:{attempt}")
-        order = list(g.edge_ids())
-        rng.shuffle(order)
-        d = Drawing.crossing_free(
-            Multigraph(g.vertices, ()), {v: () for v in g.vertices}, validate=False
-        )
-        ok = True
-        for eid in order:
-            u, v = g.endpoints(eid)
-            try:
-                d2 = insert_edge_shortest(d, eid, u, v, rng=None)
-            except Exception:
-                ok = False
-                break
-            if d2.crossing_nodes():
-                ok = False
-                break
-            d = d2
-        if ok:
-            return d
-    return exact
+    return d

@@ -1,22 +1,29 @@
 """Deterministic SVG rendering of drawings.
 
-Layout is barycentric: pin the outer face (largest, ties by least dart)
-on a convex polygon of exact rational circle points and place every other
-node at the average of its neighbors, solved exactly over fractions.
-The rendered picture is then audited: the clockwise angular order at
-every node must equal the stored rotation and no two map segments may
-meet outside their shared nodes.  If the plain layout fails the audit,
-stellated and subdivided+stellated variants are tried (virtual face
-centers pull collapsed corners apart; subdivision turns edges into
-two-segment polylines), which is the face-respecting polyline fallback.
-A drawing that defeats every strategy raises DegenerateLayout.
+Layout is Tutte's barycentric drawing of a triangulated layout graph,
+one per map component.  The graph holds every map node, a point on each
+dart of a loop and on each segment parallel to another (so edges may
+become polylines), a corner point of its own for every node occurrence
+that repeats on a face walk (joined to its node, to its polygon
+neighbours and, where two replaced occurrences follow each other, by a
+diagonal), and a star in every inner face longer than a triangle.  The
+outer face (largest, ties by least dart) is pinned clockwise on a convex
+polygon of exact rational circle points and every other point sits at
+the average of its neighbours, found by one exact sparse solve.  A simple
+plane triangulation with a convex outer face draws without crossings, so
+the picture is then only audited: the clockwise angular order at every
+node must equal the stored rotation and no two map segments may meet
+outside their shared nodes.  A failed audit raises DegenerateLayout,
+which is a bug for valid drawings.
 
 Coordinates in the output are fixed-precision decimals (6 places)
 derived from the exact rationals, so renders are byte-stable.
 """
 from __future__ import annotations
 
+import heapq
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import cmp_to_key
 
@@ -25,18 +32,6 @@ from .drawing import Drawing
 
 class DegenerateLayout(RuntimeError):
     pass
-
-
-_PRIMES: list[int] = [2, 3]
-
-
-def _prime(i: int) -> int:
-    while len(_PRIMES) <= i:
-        c = _PRIMES[-1] + 2
-        while any(c % p == 0 for p in _PRIMES if p * p <= c):
-            c += 2
-        _PRIMES.append(c)
-    return _PRIMES[i]
 
 
 _MARGIN = 30
@@ -56,50 +51,56 @@ def _circle_points(count: int) -> list[Point]:
     return pts
 
 
-def _solve_barycentric(
-    interior: list, neighbors: dict, pinned: dict
-) -> dict | None:
-    """Exact Gaussian elimination for x_v = average of neighbors."""
-    idx = {v: i for i, v in enumerate(interior)}
-    k = len(interior)
-    if k == 0:
-        return dict(pinned)
-    rows = []
+def _solve_barycentric(interior: list, neighbors: dict, pinned: dict) -> dict:
+    """Exact solution of x_v = average of v's neighbours for every interior
+    v, the rest pinned.  The system is symmetric positive definite on a
+    connected graph with a pin, so sparse elimination needs no pivot
+    search: eliminate the unknown with the fewest nonzeros first (ties by
+    ``repr``), which keeps the fill of planar systems small, then
+    back-substitute."""
+    rows: dict = {}
+    rhs: dict = {}
     for v in interior:
-        row = [Fraction(0)] * k
-        bx, by = Fraction(0), Fraction(0)
-        deg = len(neighbors[v])
-        if deg == 0:
-            return None
-        row[idx[v]] = Fraction(deg)
+        row = rows[v] = {v: Fraction(len(neighbors[v]))}
+        bx = by = Fraction(0)
         for w in neighbors[v]:
-            if w in idx:
-                row[idx[w]] -= 1
+            if w in pinned:
+                bx += pinned[w][0]
+                by += pinned[w][1]
             else:
-                px, py = pinned[w]
-                bx += px
-                by += py
-        rows.append(row + [bx, by])
-    # forward elimination with partial pivoting
-    for col in range(k):
-        piv = None
-        for r in range(col, k):
-            if rows[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            return None
-        rows[col], rows[piv] = rows[piv], rows[col]
-        pr = rows[col]
-        inv = Fraction(1) / pr[col]
-        rows[col] = [x * inv for x in pr]
-        for r in range(k):
-            if r != col and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+                row[w] = -1
+        rhs[v] = (bx, by)
+    heap = [(len(rows[v]), repr(v), v) for v in interior]
+    heapq.heapify(heap)
+    order = []
+    while heap:
+        size, _, p = heapq.heappop(heap)
+        if p not in rows or size != len(rows[p]):
+            continue  # eliminated already, or a stale size
+        prow = rows.pop(p)
+        order.append((p, prow))
+        px, py = rhs[p]
+        for r in prow:
+            if r == p:
+                continue
+            row = rows[r]
+            f = row.pop(p) / prow[p]
+            for c, a in prow.items():
+                if c != p:
+                    row[c] = row.get(c, 0) - f * a
+                    if not row[c]:
+                        del row[c]
+            rx, ry = rhs[r]
+            rhs[r] = (rx - f * px, ry - f * py)
+            heapq.heappush(heap, (len(row), repr(r), r))
     out = dict(pinned)
-    for v, i in idx.items():
-        out[v] = (rows[i][k], rows[i][k + 1])
+    for p, prow in reversed(order):
+        x, y = rhs[p]
+        for c, a in prow.items():
+            if c != p:
+                x -= a * out[c][0]
+                y -= a * out[c][1]
+        out[p] = (x / prow[p], y / prow[p])
     return out
 
 
@@ -162,126 +163,66 @@ def _seg_intersect_badly(p1: Point, p2: Point, q1: Point, q2: Point, share: bool
 
 
 class _LayoutPlan:
-    """One component's layout problem: node adjacency (with virtual
-    stars/midpoints), the pinned outer cycle, and how darts map to their
-    first drawn point for the angular audit."""
+    """One component's layout: the triangulated layout graph, its single
+    barycentric solve, and the audit of the picture it gives."""
 
     def __init__(self, d: Drawing, comp: tuple[int, ...]):
         self.d = d
         self.comp = set(comp)
         self.darts = [x for n in comp for x in d.rotation[n]]
-        self.faces = [f for f in d.faces() if d.dart_node(f[0]) in self.comp]
 
-    def outer_candidates(self):
-        return sorted(self.faces, key=lambda f: (-len(f), f))
-
-    def _make_mids(self):
-        """Subdivision points per segment, keyed by the dart whose side
-        they sit on; loop segments get two so the two darts at the shared
-        node point different ways."""
+    def layout(self) -> tuple[dict, dict]:
+        """(positions, mids): every layout point's exact position, and the
+        subdivision point on each subdivided dart's side of its segment."""
         d = self.d
-        mids: dict[int, object] = {}
-        chains: dict[frozenset, list] = {}
-        for x in self.darts:
-            key = frozenset((x, d.theta[x]))
-            if key in chains:
-                continue
-            a, b = min(key), max(key)
-            if d.dart_node(a) == d.dart_node(b):
-                chains[key] = [("mid", a), ("mid", b)]
-                mids[a] = ("mid", a)
-                mids[b] = ("mid", b)
-            else:
-                chains[key] = [("mid", a)]
-                mids[a] = ("mid", a)
-                mids[b] = ("mid", a)
-        return mids, chains
+        ends = {x: frozenset((d.dart_node(x), d.dart_node(d.theta[x]))) for x in self.darts}
+        twins = Counter(ends.values())  # each segment counts twice, once per dart
+        mids: dict[int, tuple] = {}
+        for x, pair in ends.items():
+            if len(pair) == 1:
+                mids[x] = ("mid", x)
+            elif twins[pair] > 2:
+                mids[x] = ("mid", min(x, d.theta[x]))
+        neighbors: dict = {}
 
-    def attempt(self, mode: str):
-        d = self.d
-        mids: dict[int, object] = {}
-        chains: dict[frozenset, list] = {}
-        neighbors: dict = {n: [] for n in self.comp}
-        if mode == "subdivided":
-            mids, chains = self._make_mids()
-            for ch in chains.values():
-                for m in ch:
-                    neighbors[m] = []
-            for key, ch in chains.items():
-                a, b = min(key), max(key)
-                path = [d.dart_node(a)] + ([ch[0], ch[1]] if len(ch) == 2 else [ch[0]]) + [d.dart_node(b)]
-                for i in range(len(path) - 1):
-                    neighbors[path[i]].append(path[i + 1])
-                    neighbors[path[i + 1]].append(path[i])
-            # the dart-side walk above double-counts node links for loops;
-            # rebuild real-node adjacency from darts instead
-            for n in self.comp:
-                neighbors[n] = []
-            for n in self.comp:
-                for x in d.rotation[n]:
-                    neighbors[n].append(mids[x])
-        else:
-            for n in self.comp:
-                for x in d.rotation[n]:
-                    neighbors[n].append(d.dart_node(d.theta[x]))
+        def link(a, b):
+            neighbors.setdefault(a, set()).add(b)
+            neighbors.setdefault(b, set()).add(a)
 
-        def face_cycle_nodes(face):
-            out = []
+        faces = [f for f in d.faces() if d.dart_node(f[0]) in self.comp]
+        outer = min(faces, key=lambda f: (-len(f), f))
+        for face in faces:
+            walk = []
             for x in face:
-                out.append(d.dart_node(x))
-                if chains:
-                    key = frozenset((x, d.theta[x]))
-                    ch = chains[key]
-                    if len(ch) == 1:
-                        out.append(ch[0])
-                    elif mids[x] == ch[0]:
-                        out.extend(ch)
-                    else:
-                        out.extend(reversed(ch))
-            return out
-
-        for outer in self.outer_candidates():
-            cycle = face_cycle_nodes(outer)
-            if len(cycle) < 3 or len(set(cycle)) != len(cycle):
-                continue
-            for variant in range(4 if mode != "plain" else 1):
-                if mode in ("stellated", "subdivided"):
-                    # Twin stars per face with distinct prime weights per
-                    # (star, corner): no two corners can see the star pair
-                    # in proportional mixes, so pendant material anchored
-                    # through one face still spans two dimensions.
-                    aug = {k: list(v) for k, v in neighbors.items()}
-                    for j, face in enumerate(self.faces):
-                        if face == outer:
-                            continue
-                        corners = face_cycle_nodes(face)
-                        ln = len(corners)
-                        for s in (0, 1):
-                            star = ("star", j, s)
-                            aug[star] = []
-                            for idx, c in enumerate(corners):
-                                w = _prime(s * ln + (idx + variant) % ln)
-                                aug[star].extend([c] * w)
-                                aug[c].extend([star] * w)
-                    nb = aug
-                else:
-                    nb = neighbors
-                ring = _circle_points(len(cycle))
-                ring.reverse()  # pin the outer cycle clockwise
-                pinned = {node: ring[i] for i, node in enumerate(cycle)}
-                interior = [v for v in sorted(nb, key=repr) if v not in pinned]
-                pos = _solve_barycentric(interior, nb, pinned)
-                if pos is None:
-                    continue
-                if self._verify(pos, mids):
-                    return pos, mids, chains
-        return None
-
-    def _first_point(self, pos, mids, dart):
-        d = self.d
-        if mids:
-            return pos[mids[dart]]
-        return pos[d.dart_node(d.theta[dart])]
+                walk.append(d.dart_node(x))
+                if x in mids:
+                    walk.append(mids[x])
+                    if mids[d.theta[x]] != mids[x]:
+                        walk.append(mids[d.theta[x]])
+            # The face polygon: each occurrence of a point the walk repeats
+            # becomes a corner point of its own, so the polygon is simple.
+            seen = Counter(walk)
+            poly = [("corner", face[0], i) if seen[v] > 1 else v for i, v in enumerate(walk)]
+            for i, (a, pa) in enumerate(zip(walk, poly)):
+                b, pb = walk[(i + 1) % len(walk)], poly[(i + 1) % len(poly)]
+                # Walk step a-b and polygon edge pa-pb; a corner's spoke to
+                # its point, and a diagonal where both ends are corners, cut
+                # the strip between them into triangles.
+                link(a, b)
+                link(pa, pb)
+                if pa != a:
+                    link(pa, a)
+                    if pb != b:
+                        link(pa, b)
+            if face == outer:
+                ring = _circle_points(len(poly))
+                ring.reverse()  # pin the outer polygon clockwise
+                pinned = dict(zip(poly, ring))
+            elif len(poly) > 3:
+                for p in poly:
+                    link(("star", face[0]), p)
+        interior = [v for v in neighbors if v not in pinned]
+        return _solve_barycentric(interior, neighbors, pinned), mids
 
     def _verify(self, pos, mids) -> bool:
         d = self.d
@@ -296,7 +237,7 @@ class _LayoutPlan:
                 continue
             dirs = []
             for x in rot:
-                px, py = self._first_point(pos, mids, x)
+                px, py = pos[mids.get(x, d.dart_node(d.theta[x]))]
                 vx, vy = px - pos[n][0], py - pos[n][1]
                 if vx == 0 and vy == 0:
                     return False
@@ -321,7 +262,7 @@ class _LayoutPlan:
             seen.add(k2)
             a, b = min(k2), max(k2)
             chain = [d.dart_node(a)]
-            if mids:
+            if a in mids:
                 chain.append(mids[a])
                 if mids[b] != mids[a]:
                     chain.append(mids[b])
@@ -349,9 +290,9 @@ def _fmt(x: Fraction) -> str:
 
 def render_svg(d: Drawing, size: int = 480) -> bytes:
     """Render to a ``size`` x ``size`` SVG 1.1 picture with labelled
-    vertices; raises DegenerateLayout only if every layout strategy fails
-    its audit (a bug for valid drawings).  The picture needs room
-    inside its margins: ``size`` must exceed twice the margin of 30."""
+    vertices; raises DegenerateLayout only if a layout fails its audit (a
+    bug for valid drawings).  The picture needs room inside its margins:
+    ``size`` must exceed twice the margin of 30."""
     if size <= 2 * _MARGIN:
         raise ValueError(f"size {size} leaves no room inside the {_MARGIN}-unit margins")
     d = d.canonicalize()
@@ -362,14 +303,10 @@ def render_svg(d: Drawing, size: int = 480) -> bytes:
             placed.append(({comp[0]: (Fraction(0), Fraction(0))}, {}, comp))
             continue
         plan = _LayoutPlan(d, comp)
-        got = None
-        for mode in ("plain", "stellated", "subdivided"):
-            got = plan.attempt(mode)
-            if got:
-                break
-        if not got:
-            raise DegenerateLayout(f"no layout strategy handled component {comp[:4]}")
-        placed.append((got[0], got[1], comp))
+        pos, mids = plan.layout()
+        if not plan._verify(pos, mids):
+            raise DegenerateLayout(f"the layout of component {comp[:4]} failed its audit")
+        placed.append((pos, mids, comp))
 
     # arrange components left to right in a unit-height band
     offset = Fraction(0)

@@ -205,7 +205,7 @@ def ref_verify(plan: _LayoutPlan, pos, mids) -> bool:
             continue
         dirs = []
         for x in rot:
-            px, py = plan._first_point(pos, mids, x)
+            px, py = pos[mids.get(x, d.dart_node(d.theta[x]))]
             vx, vy = px - pos[n][0], py - pos[n][1]
             if vx == 0 and vy == 0:
                 return False
@@ -229,7 +229,7 @@ def ref_verify(plan: _LayoutPlan, pos, mids) -> bool:
         seen.add(k2)
         a, b = min(k2), max(k2)
         chain = [d.dart_node(a)]
-        if mids:
+        if a in mids:
             chain.append(mids[a])
             if mids[b] != mids[a]:
                 chain.append(mids[b])

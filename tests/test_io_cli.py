@@ -308,6 +308,16 @@ def test_cli_render(tmp_path, capsys):
     assert data.startswith(b"<?xml") and b"<svg" in data
 
 
+def test_cli_render_tree(tmp_path, capsys):
+    from oddplanar.surgery import random_planar_drawing
+
+    f = drawing_file(tmp_path, random_planar_drawing(8, 1, deletions=12))
+    out_path = tmp_path / "tree.svg"
+    assert main(["render", f, "-o", str(out_path)]) == 0
+    assert not capsys.readouterr().err.startswith("error")
+    assert out_path.read_bytes().count(b"<polyline") == 6
+
+
 def test_cli_usage_error():
     assert main(["bounds", "--k", "1"]) == 2
     assert main(["nonsense"]) == 2

@@ -69,7 +69,8 @@ def test_perturbed_even_model():
 
 
 def test_perturbed_even_accepts_planar_graphs_greedy_insertion_misses():
-    # greedy insertion runs out of seeded attempts on each of these
+    # seeded greedy edge insertion into common faces runs out of attempts
+    # on each of these planar graphs
     for n in (12, 15, 20, 30):
         g = random_planar_drawing(n, 1, deletions=3).graph
         d = random_drawing(g, seed=1, model="perturbed-even")

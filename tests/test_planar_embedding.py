@@ -15,7 +15,7 @@ from oddplanar import Multigraph, complete_bipartite, complete_graph, cycle_grap
 from oddplanar.surgery import planar_embedding, random_planar_drawing
 from test_acceptance import _all_graph_classes, _is_planar_small
 
-# Planar graphs on which the seeded greedy insertion of ``greedy_embed``
+# Planar graphs on which seeded greedy edge insertion into common faces
 # runs out of attempts.
 GREEDY_FAILURES = tuple((n, 1, 3) for n in (12, 15, 20, 30))
 

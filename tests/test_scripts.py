@@ -39,7 +39,8 @@ def test_extremal_gap():
 
 def test_render_gallery(tmp_path):
     out = run_script("render_gallery.py", "--out", str(tmp_path)).splitlines()
-    names = ["k5-one-crossing", "bouquet-redrawn", "convex-k6", "pipeline-input", "pipeline-output"]
+    names = ["k5-one-crossing", "bouquet-redrawn", "convex-k6", "forest", "self-crossing",
+             "pipeline-input", "pipeline-output"]
     assert [line.split(" (")[0] for line in out] == [f"wrote {tmp_path / n}.svg" for n in names]
     assert out[0].endswith("(1 crossings)")
     for n in names:

@@ -108,17 +108,16 @@ def test_quadrangulation_with_diagonals_is_one_plane():
 
 
 def test_greedy_embed_planar_and_nonplanar():
-    d = greedy_embed(complete_graph(4), seed=0)
+    d = greedy_embed(complete_graph(4))
     assert validate_drawing(d) == []
     assert len(d.crossing_nodes()) == 0
     with pytest.raises(ValueError, match="graph is nonplanar"):
-        greedy_embed(complete_graph(5), seed=0)
+        greedy_embed(complete_graph(5))
 
 
-def test_greedy_embed_falls_back_to_the_exact_embedding():
-    # every seeded attempt fails on this planar graph
+def test_greedy_embed_is_the_exact_embedding():
     g = random_planar_drawing(12, 1, deletions=3).graph
-    d = greedy_embed(g, seed=1, attempts=3)
+    d = greedy_embed(g)
     assert d == planar_embedding(g)
     assert validate_drawing(d) == [] and d.crossing_nodes() == ()
 
