@@ -98,6 +98,7 @@ class Drawing:
         "_canon",
         "_pair_counts",
         "_self_counts",
+        "_odd_deg",
         "_violations",
         "_tokens",
         "_passes",
@@ -114,18 +115,21 @@ class Drawing:
         theta: Mapping[int, int],
         edge_paths: Mapping[int, tuple[int, ...]],
     ) -> None:
+        rotation = {n: tuple(r) for n, r in rotation.items()}
+        self._adopt(graph, rotation, dict(theta), {e: tuple(p) for e, p in edge_paths.items()})
+
+    def _adopt(self, graph, rotation, theta, edge_paths) -> None:
+        """Take the given containers as they are, without copying, and
+        leave every derived view to be computed on first use."""
         self.graph = graph
-        self.rotation = {n: tuple(r) for n, r in rotation.items()}
-        self.theta = dict(theta)
-        self.edge_paths = {e: tuple(p) for e, p in edge_paths.items()}
-        dart_node: dict[int, int] = {}
-        for node, rot in self.rotation.items():
-            for d in rot:
-                dart_node[d] = node
-        self._dart_node = dart_node
+        self.rotation = rotation
+        self.theta = theta
+        self.edge_paths = edge_paths
+        self._dart_node = {d: node for node, rot in rotation.items() for d in rot}
         self._canon = None
         self._pair_counts = None
         self._self_counts = None
+        self._odd_deg = None
         self._violations = None
         self._tokens = None
         self._passes = None
@@ -153,7 +157,9 @@ class Drawing:
         Crossing keys in ``routes`` may be arbitrary hashables; they are
         renumbered to node ids above the largest vertex id, in order of
         first appearance along edges taken in id order.  Dart ids are
-        assigned the same way, which makes the output canonical.
+        assigned the same way, which makes the output canonical.  The
+        output comes with its route view, crossing passes, segment map and
+        dart-to-ending map, kept from the build.
         """
         eids = graph.edge_ids()
         if set(routes) != set(eids):
@@ -166,11 +172,12 @@ class Drawing:
             expected[u].append((eid, 0))
             expected[v].append((eid, 1))
         for v in graph.vertices:
-            got = sorted(vertex_rotation[v])
-            if got != sorted(expected[v]):
+            # expected[v] is sorted already: edges come in id order
+            if sorted(vertex_rotation[v]) != expected[v]:
                 raise ValueError(f"vertex {v} rotation does not list its incident endings")
 
-        # Crossing keys -> node ids, and pass bookkeeping.
+        # Crossing keys -> node ids, in order of first appearance, and
+        # pass bookkeeping.
         occurrences: dict[object, list[tuple[int, int]]] = {}
         for eid in eids:
             for pos, key in enumerate(routes[eid]):
@@ -181,49 +188,58 @@ class Drawing:
             if key not in spins:
                 raise ValueError(f"missing spin for crossing {key!r}")
         base = max(graph.vertices, default=-1) + 1
-        node_of_key: dict[object, int] = {}
-        for eid in eids:
-            for key in routes[eid]:
-                if key not in node_of_key:
-                    node_of_key[key] = base + len(node_of_key)
+        node_of_key = {key: base + i for i, key in enumerate(occurrences)}
 
-        # Darts: edge by edge, two per segment.
-        theta: dict[int, int] = {}
+        # Darts: edge by edge, two per segment, numbered consecutively, so
+        # the partner of dart x is x ^ 1.  The ending and segment maps and
+        # the node-id routes are views the lazy accessors would derive;
+        # they are kept as the darts are assigned.
         edge_paths: dict[int, tuple[int, ...]] = {}
-        # in/out darts of each pass, keyed (crossing key, eid, pos)
-        pass_darts: dict[tuple[object, int, int], tuple[int, int]] = {}
-        next_dart = 0
-        for eid, (u, v) in graph.edges:
-            pts = [u] + [node_of_key[k] for k in routes[eid]] + [v]
-            path = []
-            for _ in range(len(pts) - 1):
-                a, b = next_dart, next_dart + 1
-                next_dart += 2
-                theta[a] = b
-                theta[b] = a
-                path.extend((a, b))
-            edge_paths[eid] = tuple(path)
-            for pos in range(len(routes[eid])):
-                pass_darts[(routes[eid][pos], eid, pos)] = (path[2 * pos + 1], path[2 * pos + 2])
+        tokens: dict[int, Ending] = {}
+        segments: dict[int, tuple[int, int, bool]] = {}
+        node_routes: dict[int, tuple[int, ...]] = {}
+        first = 0
+        for eid, _ in graph.edges:
+            route = node_routes[eid] = tuple([node_of_key[k] for k in routes[eid]])
+            end = first + 2 * len(route) + 2
+            for q, x in enumerate(range(first, end, 2)):
+                segments[x] = (eid, q, True)
+                segments[x + 1] = (eid, q, False)
+            edge_paths[eid] = tuple(range(first, end))
+            tokens[first] = (eid, 0)
+            tokens[end - 1] = (eid, 1)
+            first = end
+        theta = {x: x ^ 1 for x in range(first)}
 
         rotation: dict[int, tuple[int, ...]] = {}
+        vrot: dict[int, tuple[Ending, ...]] = {}
         for v in graph.vertices:
             darts = []
             for eid, end in vertex_rotation[v]:
                 p = edge_paths[eid]
                 darts.append(p[0] if end == 0 else p[-1])
-            rotation[v] = _norm_cyclic(tuple(darts))
+            rot = rotation[v] = _norm_cyclic(tuple(darts))
+            vrot[v] = tuple(map(tokens.__getitem__, rot))
+        passes: dict[int, tuple[tuple[int, int], tuple[int, int]]] = {}
+        spin_of: dict[int, bool] = {}
         for key, occ in occurrences.items():
-            (e1, p1), (e2, p2) = sorted(occ)
-            a_in, a_out = pass_darts[(key, e1, p1)]
-            b_in, b_out = pass_darts[(key, e2, p2)]
-            if spins[key]:
+            c = node_of_key[key]
+            (e1, p1), (e2, p2) = passes[c] = tuple(sorted(occ))
+            a_in, a_out = edge_paths[e1][2 * p1 + 1 : 2 * p1 + 3]
+            b_in, b_out = edge_paths[e2][2 * p2 + 1 : 2 * p2 + 3]
+            spin_of[c] = bool(spins[key])
+            if spin_of[c]:
                 rot = (a_in, b_in, a_out, b_out)
             else:
                 rot = (a_in, b_out, a_out, b_in)
-            rotation[node_of_key[key]] = _norm_cyclic(rot)
+            rotation[c] = _norm_cyclic(rot)
 
-        d = cls(graph, rotation, theta, edge_paths)
+        d = cls.__new__(cls)
+        d._adopt(graph, rotation, theta, edge_paths)
+        d._tokens = tokens
+        d._segments = MappingProxyType(segments)
+        d._passes = passes
+        d._routes = (MappingProxyType(vrot), MappingProxyType(node_routes), MappingProxyType(spin_of))
         if validate:
             bad = d.validate()
             if bad:
@@ -536,11 +552,13 @@ class Drawing:
         return self._odd_degrees().get(e, 0)
 
     def _odd_degrees(self) -> dict[int, int]:
-        deg: dict[int, int] = {}
-        for a, b in self.odd_pairs():
-            deg[a] = deg.get(a, 0) + 1
-            deg[b] = deg.get(b, 0) + 1
-        return deg
+        if self._odd_deg is None:
+            deg: dict[int, int] = {}
+            for a, b in self.odd_pairs():
+                deg[a] = deg.get(a, 0) + 1
+                deg[b] = deg.get(b, 0) + 1
+            self._odd_deg = deg
+        return self._odd_deg
 
     def parity_sketch(self) -> "ParitySketch":
         return ParitySketch(

@@ -38,6 +38,7 @@ class Multigraph:
         object.__setattr__(self, "vertices", tuple(sorted(self.vertices)))
         object.__setattr__(self, "edges", tuple(sorted(self.edges)))
         object.__setattr__(self, "_ends", dict(self.edges))  # O(1) endpoint index
+        object.__setattr__(self, "_eids", tuple(eid for eid, _ in self.edges))
 
     # -- basic queries ----------------------------------------------------
 
@@ -50,7 +51,7 @@ class Multigraph:
         return len(self.edges)
 
     def edge_ids(self) -> tuple[int, ...]:
-        return tuple(eid for eid, _ in self.edges)
+        return self._eids
 
     def endpoints(self, eid: int) -> tuple[int, int]:
         try:

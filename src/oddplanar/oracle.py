@@ -394,6 +394,26 @@ def _counting_lower_bound(g: Multigraph) -> int:
     return max(bound, 0)
 
 
+def _crossing_orders(e: int, cids: list[int], multiset: tuple[tuple[int, int], ...]):
+    """The orders of crossings ``cids`` along edge e that
+    :func:`_planarization_witness` tests.  Crossings with the same edge
+    pair are interchangeable, since renaming them renames the
+    planarization, so along the pair's smaller edge only orders that keep
+    their ids increasing are taken.  Sorting them that way never moves a
+    choice of orders later in ``product`` order, so the first planar
+    choice is always among those taken."""
+    for order in permutations(cids):
+        last: dict[tuple[int, int], int] = {}
+        for cid in order:
+            pair = multiset[cid]
+            if min(pair) == e:
+                if last.get(pair, -1) > cid:
+                    break
+                last[pair] = cid
+        else:
+            yield order
+
+
 def _planarization_witness(g: Multigraph, multiset: tuple[tuple[int, int], ...], tick) -> Drawing | None:
     """A drawing whose crossing-pair multiset is exactly ``multiset``, or
     None if there is none; ``tick`` is called once per planarity test.
@@ -414,7 +434,7 @@ def _planarization_witness(g: Multigraph, multiset: tuple[tuple[int, int], ...],
         on_edge[e].append(cid)
         on_edge[f].append(cid)
     hub = max(g.vertices, default=-1) + 1
-    for orders in product(*(permutations(on_edge[e]) for e in eids)):
+    for orders in product(*(_crossing_orders(e, on_edge[e], multiset) for e in eids)):
         tick()
         adj: dict[int, list[int]] = {v: [] for v in g.vertices}
         # Per crossing: the subdivision nodes (P before, P after, Q before,
@@ -590,16 +610,17 @@ def extremal_search(k: int, n: int, budget: EnumerationBudget, seed: int) -> Sea
     if k < 0 or n < 3:
         raise ValueError("need k >= 0 and n >= 3")
     rng = random.Random(f"{seed}:search")
-    current = random_planar_triangulation(n, seed)
-    if k >= 1 and n >= 4:
-        alt = quadrangulation_with_diagonals(n, seed)
-        if alt.graph.m > current.graph.m and alt.is_k_odd_plane(k):
-            current = alt
+    # Every triangulation has 3n - 6 edges, so the triangulation is built
+    # only when the denser warm start does not apply.
+    current = quadrangulation_with_diagonals(n, seed) if k >= 1 and n >= 4 else None
+    if current is None or current.graph.m <= 3 * n - 6 or not current.is_k_odd_plane(k):
+        current = random_planar_triangulation(n, seed)
     best = current
     proposals = 0
     accepted = 0
     start = time.monotonic()
     exhausted = False
+    next_eid = max(current.graph.edge_ids()) + 1
     verts = current.graph.vertices
     present = {frozenset(uv) for _, uv in current.graph.edges}
     absent = [
@@ -621,7 +642,7 @@ def extremal_search(k: int, n: int, budget: EnumerationBudget, seed: int) -> Sea
         try:
             if absent and roll < 0.6:
                 u, v = added = absent[rng.randrange(len(absent))]
-                eid = max(current.graph.edge_ids()) + 1
+                eid = next_eid
                 base = current
             elif roll < 0.85 and current.graph.m > 0:
                 eids = current.graph.edge_ids()
@@ -651,6 +672,7 @@ def extremal_search(k: int, n: int, budget: EnumerationBudget, seed: int) -> Sea
             accepted += 1
             if added is not None:
                 absent.remove(added)
+                next_eid += 1
             if current.graph.m > best.graph.m:
                 best = current
     assert best.is_k_odd_plane(k)

@@ -21,7 +21,11 @@ from oddplanar.oracle import (
     perturb_even,
     random_drawing,
 )
-from oddplanar.surgery import random_planar_drawing
+from oddplanar.surgery import (
+    quadrangulation_with_diagonals,
+    random_planar_drawing,
+    random_planar_triangulation,
+)
 
 
 SMALL = EnumerationBudget(max_crossings=1, max_candidates=500_000, time_limit=120.0)
@@ -255,6 +259,31 @@ def test_search_k1_n12_reaches_forty():
     res = extremal_search(1, 12, EnumerationBudget(0, 30, 30.0), seed=0)
     assert res.edge_count >= 40
     assert validate_drawing(res.best) == []
+
+
+def old_warm_start(k: int, n: int, seed: int):
+    """The start the search took when it built both drawings: the
+    triangulation, replaced by the quadrangulation with diagonals when
+    that is denser and k-odd-plane."""
+    start = random_planar_triangulation(n, seed)
+    if k >= 1 and n >= 4:
+        alt = quadrangulation_with_diagonals(n, seed)
+        if alt.graph.m > start.graph.m and alt.is_k_odd_plane(k):
+            start = alt
+    return start
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_search_warm_start_is_the_denser_valid_start(k):
+    denser = set()
+    for n in range(3, 14):
+        for seed in (0, 5):
+            best = extremal_search(k, n, EnumerationBudget(0, 0, 30.0), seed).best
+            start = old_warm_start(k, n, seed)
+            assert (best.graph, best.rotation, best.edge_paths) == (start.graph, start.rotation, start.edge_paths)
+            denser.add(start.graph.m > 3 * n - 6)
+    # n = 4 and 6 tie at 3n - 6 edges and keep the triangulation
+    assert denser == ({False, True} if k else {False})
 
 
 def test_search_deterministic():

@@ -4,7 +4,7 @@ methods that must agree on every crossing-pair multiset."""
 from __future__ import annotations
 
 import random
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 
@@ -106,3 +106,41 @@ def test_one_drawing_per_positive_verdict(monkeypatch):
     # 30 refuted adjacent multisets, then the first independent one
     assert exact_crossing_value(K5, "pcr", "minus", budget) == 1
     assert len(built) == 1
+
+
+def witness_and_ticks(g: Multigraph, ms) -> tuple:
+    ticks = []
+    d = _planarization_witness(g, ms, lambda: ticks.append(1))
+    return d, len(ticks)
+
+
+@pytest.mark.parametrize("g", [complete_graph(4), K5, complete_bipartite(3, 3)], ids=["K4", "K5", "K3,3"])
+def test_repeated_crossing_pairs_are_tested_once_per_labelling(g, monkeypatch):
+    """Against the unfiltered enumeration (every permutation on every
+    edge): the same verdict and witness, never more planarity tests, on
+    every multiset of at most 3 crossings with a repeated pair."""
+    from oddplanar import oracle
+
+    saved = total = 0
+    pairs = sorted(combinations(g.edge_ids(), 2))
+    for size in (2, 3):
+        for ms in combinations_with_replacement(pairs, size):
+            if len(set(ms)) == size:
+                continue
+            d, ticks = witness_and_ticks(g, ms)
+            with monkeypatch.context() as m:
+                m.setattr(oracle, "_crossing_orders", lambda e, cids, multiset: permutations(cids))
+                ref, ref_ticks = witness_and_ticks(g, ms)
+            assert (d is None) == (ref is None), ms
+            assert ticks <= ref_ticks, ms
+            if d is not None:
+                assert (d.rotation, d.edge_paths) == (ref.rotation, ref.edge_paths), ms
+            saved += ref_ticks - ticks
+            total += ref_ticks
+    assert 0 < saved < total
+
+
+def test_repeated_pair_orders_are_distinct_choices():
+    # (e: 0,1; f: 0,1) and (e: 1,0; f: 1,0) name one planarization
+    assert _realizable(K5, ((0, 1), (0, 1)), 100) == (False, 2)
+    assert _realizable(complete_graph(4), ((0, 1), (0, 1)), 100) == (True, 1)
