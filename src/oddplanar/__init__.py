@@ -4,7 +4,6 @@ density-bound audits, and a small-scale exact oracle."""
 from .graphs import Multigraph, complete_bipartite, complete_graph, cycle_graph
 from .drawing import (
     CrossingStats,
-    Dart,
     Drawing,
     ParitySketch,
     Violation,
@@ -19,7 +18,6 @@ __all__ = [
     "complete_bipartite",
     "cycle_graph",
     "Drawing",
-    "Dart",
     "ParitySketch",
     "CrossingStats",
     "Violation",

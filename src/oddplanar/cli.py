@@ -19,7 +19,6 @@ from pathlib import Path
 
 from .bounds import (
     CROSSING_LEMMA_VARIANTS,
-    InvalidProbability,
     audit_drawing,
     crossing_lemma_lower,
     mk_is_exact,
@@ -29,7 +28,6 @@ from .bounds import (
     sampling_experiment,
 )
 from .docio import (
-    ParseError,
     ValidationError,
     canonical_json,
     drawing_to_doc,
@@ -46,8 +44,6 @@ from .oracle import (
     extremal_search,
 )
 from .redraw import (
-    NotKOddPlane,
-    OddPairPresent,
     OneVertexSketch,
     hanani_tutte_embed,
     lemma1_redraw,
@@ -297,10 +293,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (ParseError, NotKOddPlane, OddPairPresent, InvalidProbability) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except (ValueError, FileNotFoundError, DegenerateLayout) as exc:
+    except (ValueError, OSError, DegenerateLayout) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -79,73 +79,65 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _int_list(x, length: int | None = None) -> bool:
+    """A list of JSON integers, of the given length if one is given."""
+    return isinstance(x, list) and (length is None or len(x) == length) and all(map(_is_int, x))
+
+
+def _labelled_list(x) -> bool:
+    """An ``[id, [int, ...]]`` entry."""
+    return isinstance(x, list) and len(x) == 2 and _is_int(x[0]) and _int_list(x[1])
+
+
 def _expect(cond: bool, locus: str, message: str) -> None:
     if not cond:
         raise ParseError(locus, message)
 
 
-def parse_drawing(data: bytes | str) -> Drawing:
+def _document(data: bytes | str, fmt: str) -> dict:
+    """The decoded top-level object, checked to declare format ``fmt``."""
     try:
         doc = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8 and over-long integer literals too.
         raise ParseError("document", f"not valid JSON ({exc})") from None
     _expect(isinstance(doc, dict), "document", "must be an object")
-    _expect(doc.get("format") == DRAWING_FORMAT, "format", f"expected {DRAWING_FORMAT!r}")
-    g = doc.get("graph")
-    _expect(isinstance(g, dict), "graph", "missing section")
-    _expect(
-        isinstance(g.get("vertices"), list) and all(_is_int(v) for v in g["vertices"]),
-        "graph.vertices",
-        "must be a list of integers",
-    )
-    _expect(isinstance(g.get("edges"), list), "graph.edges", "must be a list")
-    edges = []
-    for item in g["edges"]:
-        _expect(
-            isinstance(item, list) and len(item) == 3 and all(_is_int(x) for x in item),
-            "graph.edges",
-            f"bad edge entry {item!r}",
-        )
-        edges.append((item[0], (item[1], item[2])))
+    _expect(doc.get("format") == fmt, "format", f"expected {fmt!r}")
+    return doc
+
+
+def _entries(section: dict, key: str, locus: str, shape, what: str) -> list:
+    """``section[key]``, checked to be a list whose every entry passes ``shape``."""
+    items = section.get(key)
+    _expect(isinstance(items, list), locus, "must be a list")
+    for item in items:
+        _expect(shape(item), locus, f"bad {what} entry {item!r}")
+    return items
+
+
+def _graph(section: dict, prefix: str) -> Multigraph:
+    """The multigraph of a section holding ``vertices`` and ``edges``."""
+    _expect(_int_list(section.get("vertices")), prefix + "vertices", "must be a list of integers")
+    edges = _entries(section, "edges", prefix + "edges", lambda x: _int_list(x, 3), "edge")
     try:
-        graph = Multigraph(tuple(g["vertices"]), tuple(edges))
+        return Multigraph(tuple(section["vertices"]), tuple((e, (u, v)) for e, u, v in edges))
     except ValueError as exc:
         raise ParseError("graph", str(exc)) from None
 
+
+def parse_drawing(data: bytes | str) -> Drawing:
+    doc = _document(data, DRAWING_FORMAT)
+    g = doc.get("graph")
+    _expect(isinstance(g, dict), "graph", "missing section")
+    graph = _graph(g, "graph.")
     mp = doc.get("map")
     _expect(isinstance(mp, dict), "map", "missing section")
-    _expect(isinstance(mp.get("rotations"), list), "map.rotations", "must be a list")
-    rotation = {}
-    for item in mp["rotations"]:
-        _expect(
-            isinstance(item, list) and len(item) == 2 and _is_int(item[0])
-            and isinstance(item[1], list) and all(_is_int(x) for x in item[1]),
-            "map.rotations",
-            f"bad rotation entry {item!r}",
-        )
-        rotation[item[0]] = tuple(item[1])
-    _expect(isinstance(mp.get("involution"), list), "map.involution", "must be a list")
+    rotation = dict(_entries(mp, "rotations", "map.rotations", _labelled_list, "rotation"))
     theta = {}
-    for item in mp["involution"]:
-        _expect(
-            isinstance(item, list) and len(item) == 2 and all(_is_int(x) for x in item),
-            "map.involution",
-            f"bad involution entry {item!r}",
-        )
-        a, b = item
+    for a, b in _entries(mp, "involution", "map.involution", lambda x: _int_list(x, 2), "involution"):
         theta[a] = b
         theta[b] = a
-    _expect(isinstance(doc.get("edge_paths"), list), "edge_paths", "must be a list")
-    paths = {}
-    for item in doc["edge_paths"]:
-        _expect(
-            isinstance(item, list) and len(item) == 2 and _is_int(item[0])
-            and isinstance(item[1], list) and all(_is_int(x) for x in item[1]),
-            "edge_paths",
-            f"bad path entry {item!r}",
-        )
-        paths[item[0]] = tuple(item[1])
-
+    paths = dict(_entries(doc, "edge_paths", "edge_paths", _labelled_list, "path"))
     d = Drawing(graph, rotation, theta, paths)
     bad = validate_drawing(d)
     if bad:
@@ -171,30 +163,7 @@ def serialize_graph(g: Multigraph) -> bytes:
 
 
 def parse_graph(data: bytes | str) -> Multigraph:
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise ParseError("document", f"not valid JSON ({exc})") from None
-    _expect(isinstance(doc, dict), "document", "must be an object")
-    _expect(doc.get("format") == GRAPH_FORMAT, "format", f"expected {GRAPH_FORMAT!r}")
-    _expect(
-        isinstance(doc.get("vertices"), list) and all(_is_int(v) for v in doc["vertices"]),
-        "vertices",
-        "must be a list of integers",
-    )
-    _expect(isinstance(doc.get("edges"), list), "edges", "must be a list")
-    edges = []
-    for item in doc["edges"]:
-        _expect(
-            isinstance(item, list) and len(item) == 3 and all(_is_int(x) for x in item),
-            "edges",
-            f"bad edge entry {item!r}",
-        )
-        edges.append((item[0], (item[1], item[2])))
-    try:
-        return Multigraph(tuple(doc["vertices"]), tuple(edges))
-    except ValueError as exc:
-        raise ParseError("graph", str(exc)) from None
+    return _graph(_document(data, GRAPH_FORMAT), "")
 
 
 # ---------------------------------------------------------------------------

@@ -49,16 +49,6 @@ class Violation:
         return f"{self.kind}: {self.locus}"
 
 
-@dataclass(frozen=True)
-class Dart:
-    """View of one dart: half of a map segment, owned by one node."""
-
-    id: int
-    partner: int
-    node: int
-    position: int
-
-
 def _norm_cyclic(seq: tuple) -> tuple:
     """Rotate a cyclic tuple so its lexicographically least rotation is stored.
 
@@ -264,10 +254,6 @@ class Drawing:
     def crossing_nodes(self) -> tuple[int, ...]:
         real = set(self.graph.vertices)
         return tuple(sorted(n for n in self.rotation if n not in real))
-
-    def dart(self, d: int) -> Dart:
-        node = self._dart_node[d]
-        return Dart(d, self.theta[d], node, self.rotation[node].index(d))
 
     def dart_node(self, d: int) -> int:
         return self._dart_node[d]
@@ -648,22 +634,18 @@ class Drawing:
         e_base = max(self.graph.edge_ids(), default=-1) + 1
         vmap = {v: v_base + i for i, v in enumerate(sorted(other.graph.vertices))}
         emap = {e: e_base + i for i, e in enumerate(other.graph.edge_ids())}
-        g2 = Multigraph(
-            tuple(vmap[v] for v in other.graph.vertices),
-            tuple((emap[e], (vmap[u], vmap[v])) for e, (u, v) in other.graph.edges),
+        vr, rt, sp = other.route_view()
+        moved = Drawing.from_routes(
+            Multigraph(
+                tuple(vmap[v] for v in other.graph.vertices),
+                tuple((emap[e], (vmap[u], vmap[v])) for e, (u, v) in other.graph.edges),
+            ),
+            {vmap[v]: tuple((emap[e], end) for e, end in vr[v]) for v in vr},
+            {emap[e]: r for e, r in rt.items()},
+            sp,
+            validate=False,
         )
-        vr1, rt1, sp1 = self.route_view()
-        vr2, rt2, sp2 = other.route_view()
-        merged_graph = Multigraph(
-            self.graph.vertices + g2.vertices, self.graph.edges + g2.edges
-        )
-        vrot = dict(vr1)
-        vrot.update({vmap[v]: tuple((emap[e], end) for e, end in vr2[v]) for v in vr2})
-        routes = {e: tuple(("a", c) for c in rt1[e]) for e in rt1}
-        routes.update({emap[e]: tuple(("b", c) for c in rt2[e]) for e in rt2})
-        spins = {("a", c): s for c, s in sp1.items()}
-        spins.update({("b", c): s for c, s in sp2.items()})
-        return Drawing.from_routes(merged_graph, vrot, routes, spins, validate=False)
+        return merge_disjoint([self, moved])
 
     # ------------------------------------------------------------------
     # Canonical form

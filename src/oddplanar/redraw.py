@@ -34,7 +34,7 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 
 from .drawing import Drawing, Ending, ParitySketch
-from .graphs import Multigraph
+from .graphs import Multigraph, connected_components
 
 
 class ContractOddEdge(ValueError):
@@ -526,14 +526,7 @@ def theorem2_transform(d: Drawing, k: int) -> PipelineTrace:
 
     # Forest components partition the vertices; removal confined every
     # surviving edge to a single component.
-    parent = {v: v for v in d.graph.vertices}
-    for eid in sorted(forest):
-        u, v = d.graph.endpoints(eid)
-        parent[_find(parent, u)] = _find(parent, v)
-    groups: dict[int, list[int]] = {}
-    for v in d.graph.vertices:
-        groups.setdefault(_find(parent, v), []).append(v)
-    comps = [tuple(sorted(g)) for g in sorted(groups.values())]
+    comps = connected_components(d.graph.vertices, map(d.graph.endpoints, forest))
     comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
     n_removed_bound = k * (d.graph.n - len(comps))
     assert len(removed) <= n_removed_bound, (
