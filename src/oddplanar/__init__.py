@@ -7,7 +7,6 @@ from .drawing import (
     Drawing,
     ParitySketch,
     Violation,
-    check_planarity_class,
     merge_disjoint,
     validate_drawing,
 )
@@ -22,6 +21,5 @@ __all__ = [
     "CrossingStats",
     "Violation",
     "validate_drawing",
-    "check_planarity_class",
     "merge_disjoint",
 ]

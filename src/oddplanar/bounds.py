@@ -36,8 +36,8 @@ class InvalidProbability(ValueError):
     pass
 
 
-# Reference constants.  The first four drive crossing_lemma_lower; the
-# last is recorded for comparison only and drives no checks.
+# Reference constants of the Crossing Lemma variants that
+# crossing_lemma_lower evaluates.
 CROSSING_LEMMA_VARIANTS: dict[str, tuple[Fraction, Fraction]] = {
     # variant -> (denominator c in m^3/(c n^2), edge threshold factor t: m >= t*n)
     "ocr_star": (Fraction(54), Fraction(6)),
@@ -45,7 +45,6 @@ CROSSING_LEMMA_VARIANTS: dict[str, tuple[Fraction, Fraction]] = {
     "cr_classic": (Fraction(243, 4), Fraction(9, 2)),  # 1/60.75 above 4.5n
     "cr_ackerman": (Fraction(29), Fraction(7)),
 }
-PCR_PLUS_CONSTANT = Fraction(171, 5)  # 1/34.2 above 6.75n; reference only
 
 
 def _sqrt_floor_times(c: int, k: int, n: int) -> int:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .bounds import (
@@ -29,6 +28,7 @@ from .bounds import (
 )
 from .docio import (
     ValidationError,
+    _num,
     canonical_json,
     drawing_to_doc,
     parse_drawing,
@@ -146,15 +146,10 @@ def _cmd_bounds(args) -> int:
     if args.m is not None:
         doc["m"] = args.m
         doc["ocr_linear_lower"] = ocr_linear_lower(args.n, args.m)
-        lemma = {}
-        for variant in sorted(CROSSING_LEMMA_VARIANTS):
-            val = crossing_lemma_lower(args.n, args.m, variant)
-            lemma[variant] = (
-                "not-applicable"
-                if not isinstance(val, Fraction)
-                else (str(val.numerator) if val.denominator == 1 else f"{val.numerator}/{val.denominator}")
-            )
-        doc["crossing_lemma"] = lemma
+        doc["crossing_lemma"] = {
+            variant: _num(crossing_lemma_lower(args.n, args.m, variant))
+            for variant in sorted(CROSSING_LEMMA_VARIANTS)
+        }
     _emit(doc, f"modd_upper({args.k},{args.n}) = {doc['modd_upper']}")
     return 0
 

@@ -89,6 +89,11 @@ def _labelled_list(x) -> bool:
     return isinstance(x, list) and len(x) == 2 and _is_int(x[0]) and _int_list(x[1])
 
 
+def _node_entry(x) -> bool:
+    """An ``[id, "real" | "crossing"]`` entry."""
+    return isinstance(x, list) and len(x) == 2 and _is_int(x[0]) and x[1] in ("real", "crossing")
+
+
 def _expect(cond: bool, locus: str, message: str) -> None:
     if not cond:
         raise ParseError(locus, message)
@@ -138,6 +143,15 @@ def parse_drawing(data: bytes | str) -> Drawing:
         theta[a] = b
         theta[b] = a
     paths = dict(_entries(doc, "edge_paths", "edge_paths", _labelled_list, "path"))
+    # The node tags are derived data: checked against the graph, never used.
+    real = set(graph.vertices)
+    tagged: set[int] = set()
+    for n, tag in _entries(mp, "nodes", "map.nodes", _node_entry, "node"):
+        _expect(n not in tagged, "map.nodes", f"duplicate node id {n}")
+        tagged.add(n)
+        want = "real" if n in real else "crossing"
+        _expect(tag == want, "map.nodes", f"node {n} must be tagged {want!r}")
+    _expect(tagged == rotation.keys(), "map.nodes", "ids differ from the map.rotations ids")
     d = Drawing(graph, rotation, theta, paths)
     bad = validate_drawing(d)
     if bad:

@@ -258,11 +258,6 @@ class Drawing:
     def dart_node(self, d: int) -> int:
         return self._dart_node[d]
 
-    def ending_dart(self, eid: int, end: int) -> int:
-        """The dart representing the given edge ending at its endpoint."""
-        p = self.edge_paths[eid]
-        return p[0] if end == 0 else p[-1]
-
     def _ending_of_dart(self) -> dict[int, Ending]:
         if self._tokens is None:
             out: dict[int, Ending] = {}
@@ -786,16 +781,3 @@ class CrossingStats:
 def validate_drawing(d: Drawing) -> list[Violation]:
     """All structural and genus checks; empty list means valid."""
     return d.validate()
-
-
-def check_planarity_class(d: Drawing, k: int, mode: str) -> bool:
-    """``plane``: every edge carries at most k crossing points (self
-    crossings included).  ``odd-plane``: every edge is crossed oddly by at
-    most k other edges (even crossings and self crossings invisible)."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if mode == "plane":
-        return d.is_k_plane(k)
-    if mode == "odd-plane":
-        return d.is_k_odd_plane(k)
-    raise ValueError(f"unknown mode {mode!r}")

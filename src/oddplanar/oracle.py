@@ -1,24 +1,20 @@
 """Independent ground truth at desk scale.
 
-Exhaustive enumeration of planarizations of tiny graphs, exact values of
-the crossing-number variants over the enumerated space, seeded random
-drawing generators, and a stochastic explorer for dense drawings with
-bounded odd crossings per edge.
+Exact values of the crossing-number variants of tiny graphs, seeded
+random drawing generators, and a stochastic explorer for dense drawings
+with bounded odd crossings per edge.
 
-Neither method touches the redrawing machinery.  Exact values decide
-each crossing-pair multiset with planarity tests: one per choice of
-per-edge crossing orders, on the planarization with a wheel around every
-crossing.  Drawing enumeration lists candidates (a multiset, a rotation
-system, crossing orders and spins), and its only referee is the sphere
-(Euler) check; it doubles as an independent check of the planarity
-verdicts.  Drawings whose edges cross themselves are not considered:
-smoothing a self-crossing preserves every pairwise crossing count
-exactly, so no minimum over drawings changes by ignoring them.
+Exact values do not touch the redrawing machinery.  They decide each
+crossing-pair multiset with planarity tests: one per choice of per-edge
+crossing orders, on the planarization with a wheel around every
+crossing.  A positive verdict is built as one drawing and validated.
+Drawings whose edges cross themselves are not considered: smoothing a
+self-crossing preserves every pairwise crossing count exactly, so no
+minimum over drawings changes by ignoring them.
 
-Budgets count planarizations tested for exact values and candidate
-drawings examined for enumeration.  The candidate limit is enforced
-deterministically; the time limit is a safety net and should not be used
-to pin down results.
+Budgets count planarity tests for exact values and proposals for the
+search.  The candidate limit is enforced deterministically; the time
+limit is a safety net and should not be used to pin down results.
 """
 from __future__ import annotations
 
@@ -55,6 +51,11 @@ class BudgetExceeded(Exception):
 
 @dataclass(frozen=True)
 class EnumerationBudget:
+    """``max_crossings``: the largest crossing-pair multiset an exact
+    value tests.  ``max_candidates``: planarity tests for an exact value,
+    proposals for :func:`extremal_search`.  ``time_limit``: seconds, a
+    safety net for both."""
+
     max_crossings: int = 1
     max_candidates: int = 2_000_000
     time_limit: float = 300.0
@@ -67,9 +68,11 @@ class EnumerationBudget:
 
 @dataclass(frozen=True)
 class LowerBoundOnly:
-    """No admissible drawing exists within the crossing budget; for the
-    plain crossing number this bounds the true value below by ``bound``,
-    for pair/odd variants it only certifies the enumerated range."""
+    """Every admissible crossing-pair multiset within the crossing budget
+    was refuted, by counting or by planarity tests, so no admissible
+    drawing has fewer than ``bound`` crossings.  For the plain crossing
+    number this bounds the true value below by ``bound``; for the pair
+    and odd variants it only certifies the tested range."""
 
     bound: int
 
@@ -200,145 +203,6 @@ def random_drawing(g: Multigraph, seed: int, model: str = "convex", moves: int |
         out, _ = perturb_even(base, n_moves, seed)
         return out
     raise ValueError(f"unknown model {model!r}")
-
-
-# ---------------------------------------------------------------------------
-# Exhaustive enumeration
-# ---------------------------------------------------------------------------
-
-
-def _rotation_choices(g: Multigraph) -> list[list[tuple[Ending, ...]]]:
-    """All cyclic orders per vertex: first incident ending pinned, the
-    rest permuted ((deg-1)! options)."""
-    out = []
-    for v in g.vertices:
-        endings = []
-        for eid, (a, b) in g.edges:
-            if a == v:
-                endings.append((eid, 0))
-            if b == v:
-                endings.append((eid, 1))
-        endings.sort()
-        if len(endings) <= 1:
-            out.append([tuple(endings)])
-        else:
-            first, rest = endings[0], endings[1:]
-            out.append([(first,) + p for p in permutations(rest)])
-    return out
-
-
-def _face_count(succ: list[int]) -> int:
-    """Number of cycles of d -> succ[theta(d)] with theta(d) = d ^ 1."""
-    seen = bytearray(len(succ))
-    faces = 0
-    for d0 in range(len(succ)):
-        if not seen[d0]:
-            faces += 1
-            d = d0
-            while not seen[d]:
-                seen[d] = 1
-                d = succ[d ^ 1]
-    return faces
-
-
-def _realizations(g: Multigraph, multiset: tuple[tuple[int, int], ...], tick):
-    """Yield every valid drawing whose crossing-pair multiset is exactly
-    ``multiset`` (crossing ids, orders along edges, spins, rotations).
-
-    Candidates are screened on integer arrays: darts laid out edge by edge
-    with theta(d) = d ^ 1, and ``succ`` the clockwise successor of each
-    dart.  V = n + c, E = m + 2c and the map's components are the same for
-    every candidate; a connected map has at most 2 - V + E faces (cycles of
-    succ . theta), with equality iff it is a sphere.  So a candidate is
-    valid iff its face count is the sum of those bounds over components
-    with edges.  Only survivors become a ``Drawing``, each fully checked."""
-    eids = g.edge_ids()
-    on_edge: dict[int, list[int]] = {e: [] for e in eids}
-    for cid, (e, f) in enumerate(multiset):
-        on_edge[e].append(cid)
-        on_edge[f].append(cid)
-    ending_dart: dict[Ending, int] = {}
-    ndarts = 0
-    for e in eids:
-        ending_dart[(e, 0)] = ndarts
-        ndarts += 2 * len(on_edge[e]) + 2
-        ending_dart[(e, 1)] = ndarts - 1
-    # A crossing joins the map components of its two edges.
-    links = tuple(
-        (-1 - cid, (g.endpoints(e)[0], g.endpoints(f)[0])) for cid, (e, f) in enumerate(multiset)
-    )
-    linked = Multigraph(g.vertices, g.edges + links)
-    comps = [comp for comp in linked.components() if len(comp) > 1]
-    need = 2 * len(comps) - (sum(map(len, comps)) + len(multiset)) + ndarts // 2
-
-    rot_choices = [
-        [(rot, tuple(ending_dart[t] for t in rot)) for rot in choices]
-        for choices in _rotation_choices(g)
-    ]
-    # Per order choice, (P_in, P_out, Q_in, Q_out) of each crossing, P the
-    # pass on the smaller edge id, as in the spin convention of ``Drawing``.
-    order_choices = []
-    for orders in product(*(permutations(on_edge[e]) for e in eids)):
-        passes = [[0, 0, 0, 0] for _ in multiset]
-        for e, order in zip(eids, orders):
-            for pos, cid in enumerate(order):
-                k = 0 if e == min(multiset[cid]) else 2
-                passes[cid][k] = ending_dart[(e, 0)] + 2 * pos + 1
-                passes[cid][k + 1] = ending_dart[(e, 0)] + 2 * pos + 2
-        order_choices.append((orders, passes))
-    succ = [0] * ndarts
-    for picks in product(*rot_choices):
-        for _, darts in picks:
-            for i, d in enumerate(darts):
-                succ[darts[i - 1]] = d
-        for orders, passes in order_choices:
-            for spin_bits in product((False, True), repeat=len(multiset)):
-                tick()
-                for (a_in, a_out, b_in, b_out), spin in zip(passes, spin_bits):
-                    if spin:  # clockwise (a_in, b_in, a_out, b_out)
-                        succ[a_in], succ[b_in], succ[a_out], succ[b_out] = b_in, a_out, b_out, a_in
-                    else:  # clockwise (a_in, b_out, a_out, b_in)
-                        succ[a_in], succ[b_out], succ[a_out], succ[b_in] = b_out, a_out, b_in, a_in
-                if _face_count(succ) != need:
-                    continue
-                d = Drawing.from_routes(
-                    g,
-                    dict(zip(g.vertices, (rot for rot, _ in picks))),
-                    dict(zip(eids, orders)),
-                    dict(enumerate(spin_bits)),
-                    validate=False,
-                )
-                assert not d.validate(), "face-count kernel accepted an invalid drawing"
-                yield d
-
-
-def enumerate_drawings(g: Multigraph, budget: EnumerationBudget):
-    """Stream every valid self-crossing-free drawing of g with at most
-    ``budget.max_crossings`` crossings, up to sphere homeomorphism
-    (deduplicated by canonical encoding; mirror images both appear).
-    Crossing-pair multisets are visited in lexicographic order.  Raises
-    BudgetExceeded when the candidate or time budget runs out, leaving
-    the stream incomplete."""
-    if not g.is_simple:
-        raise ValueError("enumeration takes simple graphs")
-    start = time.monotonic()
-    state = {"count": 0}
-
-    def tick():
-        state["count"] += 1
-        if state["count"] > budget.max_candidates:
-            raise BudgetExceeded(f"candidate budget {budget.max_candidates} exhausted")
-        if state["count"] % 512 == 0 and time.monotonic() - start > budget.time_limit:
-            raise BudgetExceeded(f"time budget {budget.time_limit}s exhausted")
-
-    pairs = sorted(combinations(sorted(g.edge_ids()), 2))
-    seen: set = set()
-    for size in range(budget.max_crossings + 1):
-        for multiset in combinations_with_replacement(pairs, size):
-            for d in _realizations(g, multiset, tick):
-                if d.canonical_key() not in seen:
-                    seen.add(d.canonical_key())
-                    yield d
 
 
 # ---------------------------------------------------------------------------
@@ -506,10 +370,10 @@ def exact_crossing_value(
     crossings.  The value is exact whenever the true optimum is attained
     within the crossing budget (the caller chooses the budget); each
     multiset is decided exactly by :func:`_planarization_witness`.
-    Returns LowerBoundOnly when the enumerated space contains no
-    admissible drawing.  When the budget runs out while multisets of
-    value v are tested, the raised BudgetExceeded carries v as its
-    ``lower_bound``: every smaller value has been refuted.
+    Returns LowerBoundOnly when no admissible multiset within the
+    crossing budget is realizable.  When the budget runs out while
+    multisets of value v are tested, the raised BudgetExceeded carries v
+    as its ``lower_bound``: every smaller value has been refuted.
 
     Candidate multisets are processed serially in (value, multiset) order
     with pruning, so the search stops as soon as no better value is

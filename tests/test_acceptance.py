@@ -30,7 +30,6 @@ from oddplanar.cli import main
 from oddplanar.docio import serialize_drawing
 from oddplanar.oracle import (
     EnumerationBudget,
-    enumerate_drawings,
     exact_crossing_value,
     extremal_search,
     perturb_even,
@@ -48,6 +47,8 @@ from oddplanar.surgery import (
     quadrangulation_with_diagonals,
     random_planar_drawing,
 )
+
+from enumeration import enumerate_drawings
 
 # every drawing produced anywhere in this run:
 # (label, n, m, odd pairs, valid, simple underlying graph)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from oddplanar import complete_graph, validate_drawing
 from oddplanar.bounds import ocr_linear_lower
-from oddplanar.oracle import EnumerationBudget, enumerate_drawings, random_drawing
+from oddplanar.oracle import EnumerationBudget, random_drawing
 from oddplanar.redraw import (
     OneVertexSketch,
     hanani_tutte_embed,
@@ -19,6 +19,7 @@ from oddplanar.redraw import (
     theorem2_transform,
 )
 from oddplanar.surgery import route_edge, random_planar_drawing
+from enumeration import enumerate_drawings
 from fixtures import triangle
 
 

@@ -68,6 +68,14 @@ DRAWING_CASES = [
     (_drawing(("edge_paths", 0), [0, 1]), "edge_paths: bad path entry [0, 1]"),
     (_drawing(("edge_paths", 0, 1, 0), "x"), "edge_paths: bad path entry [0, ['x', 1, 2, 3]]"),
     (_drawing(("edge_paths", 0, 0), True), "edge_paths: bad path entry [True, [0, 1, 2, 3]]"),
+    (_drawing(("map", "nodes"), "garbage"), "map.nodes: must be a list"),
+    (_drawing(("map", "nodes"), None), "map.nodes: must be a list"),
+    (_drawing(("map", "nodes"), delete=True), "map.nodes: must be a list"),
+    (_drawing(("map", "nodes"), [[5, "real"]]), "map.nodes: node 5 must be tagged 'crossing'"),
+    (_drawing(("map", "nodes", 1), [0, "real"]), "map.nodes: duplicate node id 0"),
+    (_drawing(("map", "nodes", 0), [0, "crossing"]), "map.nodes: node 0 must be tagged 'real'"),
+    (_drawing(("map", "nodes", 5, 1), "hub"), "map.nodes: bad node entry [5, 'hub']"),
+    (_drawing(("map", "nodes", 5), delete=True), "map.nodes: ids differ from the map.rotations ids"),
 ]
 
 GRAPH_CASES = [

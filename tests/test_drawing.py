@@ -5,7 +5,6 @@ import pytest
 from oddplanar import (
     Drawing,
     Multigraph,
-    check_planarity_class,
     complete_graph,
     validate_drawing,
 )
@@ -92,8 +91,8 @@ def test_lens_pair_counts_two_and_parity_zero():
     assert d.crossing_count(0, 1) == 2
     sk = d.parity_sketch()
     assert sk.parity(0, 1) == 0
-    assert check_planarity_class(d, 0, "odd-plane") is True
-    assert check_planarity_class(d, 0, "plane") is False
+    assert d.is_k_odd_plane(0) is True
+    assert d.is_k_plane(0) is False
 
 
 def test_figure_eight_self_count():
@@ -197,10 +196,10 @@ def test_ladder_inequalities():
 
 
 def test_planarity_class_examples():
-    assert check_planarity_class(k4_planar(), 0, "plane")
-    assert check_planarity_class(k4_planar(), 0, "odd-plane")
-    assert check_planarity_class(k5_one_crossing(), 1, "plane")
-    assert not check_planarity_class(k5_one_crossing(), 0, "plane")
+    assert k4_planar().is_k_plane(0)
+    assert k4_planar().is_k_odd_plane(0)
+    assert k5_one_crossing().is_k_plane(1)
+    assert not k5_one_crossing().is_k_plane(0)
 
 
 # ---------------------------------------------------------------------------

@@ -186,9 +186,14 @@ def test_cli_bounds(capsys):
 
 def test_cli_bounds_with_m(capsys):
     assert main(["bounds", "--k", "1", "--n", "10", "--m", "60"]) == 0
-    out = json.loads(capsys.readouterr().out)
+    raw = capsys.readouterr().out
+    out = json.loads(raw)
     assert out["ocr_linear_lower"] == 40  # max(m-3n, 2m-8n) = max(30, 40)
     assert out["crossing_lemma"]["ocr_star"] == "40"
+    assert raw == (
+        '{"k":1,"n":10,"mk_upper":32,"mk_exact":false,"modd_upper":41,"m":60,"ocr_linear_lower":40,'
+        '"crossing_lemma":{"cr_ackerman":"not-applicable","cr_classic":"320/9","ocr_pt":"135/4","ocr_star":"40"}}\n'
+    )
 
 
 def test_cli_transform(tmp_path, capsys):

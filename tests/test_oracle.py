@@ -15,7 +15,6 @@ from oddplanar.oracle import (
     EnumerationBudget,
     LowerBoundOnly,
     _realizable,
-    enumerate_drawings,
     exact_crossing_value,
     extremal_search,
     perturb_even,
@@ -26,6 +25,8 @@ from oddplanar.surgery import (
     random_planar_drawing,
     random_planar_triangulation,
 )
+
+from enumeration import enumerate_drawings
 
 
 SMALL = EnumerationBudget(max_crossings=1, max_candidates=500_000, time_limit=120.0)

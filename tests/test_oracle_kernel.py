@@ -1,5 +1,6 @@
-"""The enumeration oracle's integer face-count kernel against a reference
-that materializes and fully validates every candidate drawing."""
+"""The integer face-count kernel of the reference enumeration
+(``enumeration._realizations``) against a reference that materializes
+and fully validates every candidate drawing."""
 from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement, permutations, product
@@ -8,7 +9,9 @@ import pytest
 
 from oddplanar import Drawing, complete_bipartite, complete_graph, cycle_graph
 from oddplanar.graphs import Multigraph
-from oddplanar.oracle import _counting_lower_bound, _realizations, _rotation_choices
+from oddplanar.oracle import _counting_lower_bound
+
+from enumeration import _realizations, _rotation_choices
 
 TRIANGLE_PLUS_EDGE = Multigraph((0, 1, 2, 3, 4), ((0, (0, 1)), (1, (1, 2)), (2, (0, 2)), (3, (3, 4))))
 

@@ -1,6 +1,7 @@
 """The oracle's planarity test of wheeled planarizations against the
-rotation-system enumeration of ``_realizations``: two independent exact
-methods that must agree on every crossing-pair multiset."""
+rotation-system enumeration of ``enumeration._realizations``: two
+independent exact methods that must agree on every crossing-pair
+multiset."""
 from __future__ import annotations
 
 import random
@@ -14,9 +15,10 @@ from oddplanar.oracle import (
     EnumerationBudget,
     _planarization_witness,
     _realizable,
-    _realizations,
     exact_crossing_value,
 )
+
+from enumeration import _realizations
 
 K5 = complete_graph(5)
 K5_MINUS_E = Multigraph(K5.vertices, K5.edges[1:])
