@@ -120,6 +120,15 @@ def _entries(section: dict, key: str, locus: str, shape, what: str) -> list:
     return items
 
 
+def _repeated(ids):
+    """The first id that ``ids`` yields twice."""
+    seen = set()
+    for x in ids:
+        if x in seen:
+            return x
+        seen.add(x)
+
+
 def _graph(section: dict, prefix: str) -> Multigraph:
     """The multigraph of a section holding ``vertices`` and ``edges``."""
     _expect(_int_list(section.get("vertices")), prefix + "vertices", "must be a list of integers")
@@ -137,12 +146,23 @@ def parse_drawing(data: bytes | str) -> Drawing:
     graph = _graph(g, "graph.")
     mp = doc.get("map")
     _expect(isinstance(mp, dict), "map", "missing section")
-    rotation = dict(_entries(mp, "rotations", "map.rotations", _labelled_list, "rotation"))
+    # A repeated id would be merged silently by the dict built from its
+    # section; comparing sizes catches it without another container.
+    entries = _entries(mp, "rotations", "map.rotations", _labelled_list, "rotation")
+    rotation = dict(entries)
+    if len(rotation) != len(entries):
+        raise ParseError("map.rotations", f"duplicate node id {_repeated(n for n, _ in entries)}")
+    entries = _entries(mp, "involution", "map.involution", lambda x: _int_list(x, 2), "involution")
     theta = {}
-    for a, b in _entries(mp, "involution", "map.involution", lambda x: _int_list(x, 2), "involution"):
+    for a, b in entries:
         theta[a] = b
         theta[b] = a
-    paths = dict(_entries(doc, "edge_paths", "edge_paths", _labelled_list, "path"))
+    if len(theta) != 2 * len(entries):
+        raise ParseError("map.involution", f"duplicate dart {_repeated(x for pair in entries for x in pair)}")
+    entries = _entries(doc, "edge_paths", "edge_paths", _labelled_list, "path")
+    paths = dict(entries)
+    if len(paths) != len(entries):
+        raise ParseError("edge_paths", f"duplicate edge id {_repeated(e for e, _ in entries)}")
     # The node tags are derived data: checked against the graph, never used.
     real = set(graph.vertices)
     tagged: set[int] = set()

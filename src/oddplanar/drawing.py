@@ -77,6 +77,11 @@ class Drawing:
     drawings.  The derived views (route view, faces, dart-to-face and
     dart-to-segment maps) are computed once, shared by every caller and
     read-only; copy them to edit.
+
+    :meth:`from_routes` and :meth:`canonicalize` give canonical dart and
+    crossing ids.  Inherited drawings (:meth:`remove_edges`,
+    :meth:`induced_subdrawing`) keep their parent's ids for whatever
+    survives, in the same relative order.
     """
 
     __slots__ = (
@@ -583,29 +588,81 @@ class Drawing:
 
     def remove_edges(self, edge_set: Iterable[int]) -> "Drawing":
         """Inherited drawing: removed edges vanish, their crossing points on
-        surviving edges are smoothed away, all other crossings untouched."""
+        surviving edges are smoothed away, all other crossings untouched.
+
+        The map is smoothed in place on copies of its containers.  The
+        removed edges' darts and the dead crossing nodes are dropped, and
+        where a surviving edge loses a crossing its two segments merge into
+        one: the first segment's forward dart paired with the last
+        segment's backward dart.  Every surviving dart and node keeps its
+        id, so the ids keep their relative order; from a canonical drawing
+        the faces, face starts and rotation starts come in the order that
+        canonical renumbering would give.  Only the rotations at the
+        removed edges' endpoints are re-normalized.  The route view (node
+        ids unchanged) and any crossing counts already computed are carried
+        over."""
         removed = set(edge_set)
-        unknown = removed - set(self.graph.edge_ids())
-        if unknown:
-            raise KeyError(f"unknown edge ids {sorted(unknown)}")
         if not removed:
             return self
+        graph = self.graph.without_edges(removed)  # KeyError on unknown ids
         vrot, routes, spins = self.route_view()
-        dead = {
-            c
-            for c, ((e1, _), (e2, _)) in self.crossing_passes().items()
-            if e1 in removed or e2 in removed
-        }
-        new_graph = self.graph.without_edges(removed)
-        new_vrot = {
-            v: tuple(t for t in vrot[v] if t[0] not in removed) for v in new_graph.vertices
-        }
-        new_routes = {
-            e: tuple(c for c in routes[e] if c not in dead)
-            for e in new_graph.edge_ids()
-        }
-        new_spins = {c: s for c, s in spins.items() if c not in dead}
-        return Drawing.from_routes(new_graph, new_vrot, new_routes, new_spins, validate=False)
+        passes = self.crossing_passes()
+        dead = {c for e in removed for c in routes[e]}
+        rotation = dict(self.rotation)
+        theta = dict(self.theta)
+        edge_paths = dict(self.edge_paths)
+        new_routes = dict(routes)
+        gone: set[int] = set()
+        ends: set[int] = set()
+        for e in removed:
+            gone.update(edge_paths.pop(e))
+            del new_routes[e]
+            ends.update(self.graph.endpoints(e))
+        touched: set[int] = set()
+        for c in dead:
+            del rotation[c]
+            (e1, _), (e2, _) = passes[c]
+            touched.add(e1)
+            touched.add(e2)
+        for e in touched - removed:
+            p = edge_paths[e]
+            path = [p[0]]
+            kept = []
+            for q, c in enumerate(routes[e]):
+                if c in dead:
+                    gone.add(p[2 * q + 1])
+                    gone.add(p[2 * q + 2])
+                else:
+                    path.append(p[2 * q + 1])
+                    path.append(p[2 * q + 2])
+                    kept.append(c)
+            path.append(p[-1])
+            for i in range(0, len(path), 2):
+                theta[path[i]] = path[i + 1]
+                theta[path[i + 1]] = path[i]
+            edge_paths[e] = tuple(path)
+            new_routes[e] = tuple(kept)
+        for x in gone:
+            del theta[x]
+        token = self._ending_of_dart()
+        new_vrot = dict(vrot)
+        for v in ends:
+            rot = rotation[v] = _norm_cyclic(tuple(x for x in rotation[v] if x not in gone))
+            new_vrot[v] = tuple(map(token.__getitem__, rot))
+
+        d = Drawing.__new__(Drawing)
+        d._adopt(graph, rotation, theta, edge_paths)
+        d._routes = (
+            MappingProxyType(new_vrot),
+            MappingProxyType(new_routes),
+            MappingProxyType({c: s for c, s in spins.items() if c not in dead}),
+        )
+        if self._pair_counts is not None:
+            d._pair_counts = {
+                k: n for k, n in self._pair_counts.items() if k[0] not in removed and k[1] not in removed
+            }
+            d._self_counts = {e: n for e, n in self._self_counts.items() if e not in removed}
+        return d
 
     def induced_subdrawing(self, vertex_set: Iterable[int]) -> "Drawing":
         """Keep exactly the vertices of ``vertex_set`` and the edges with

@@ -89,11 +89,21 @@ class Multigraph:
         return Multigraph(tuple(sorted(vertex_set)), keep)
 
     def without_edges(self, edge_set: set[int]) -> "Multigraph":
-        unknown = edge_set - set(self.edge_ids())
+        """This graph minus the given edges.  What is left of a checked,
+        sorted graph needs no second check or sort: only the endpoint
+        index and the id tuple are rebuilt."""
+        unknown = edge_set.difference(self._ends)
         if unknown:
             raise KeyError(f"unknown edge ids {sorted(unknown)}")
-        keep = tuple((eid, uv) for eid, uv in self.edges if eid not in edge_set)
-        return Multigraph(self.vertices, keep)
+        ends = dict(self._ends)
+        for eid in edge_set:
+            del ends[eid]
+        g = object.__new__(Multigraph)
+        object.__setattr__(g, "vertices", self.vertices)
+        object.__setattr__(g, "edges", tuple(item for item in self.edges if item[0] in ends))
+        object.__setattr__(g, "_ends", ends)
+        object.__setattr__(g, "_eids", tuple(ends))
+        return g
 
     def components(self) -> list[tuple[int, ...]]:
         """Connected components as sorted vertex tuples, in id order."""

@@ -37,6 +37,18 @@ def _graph(path, value=None, delete=False):
     return _edit(GRAPH, path, value, delete)
 
 
+def _repeat(path, entry=0, change=None) -> bytes:
+    """The drawing document with one entry of the list at ``path`` listed
+    again at its end, after ``change`` (if given) edits the copy."""
+    doc = json.loads(json.dumps(DRAWING))
+    items = doc
+    for key in path:
+        items = items[key]
+    copy = json.loads(json.dumps(items[entry]))
+    items.append(change(copy) if change else copy)
+    return json.dumps(doc).encode()
+
+
 DRAWING_CASES = [
     (b"not json", "document: not valid JSON (Expecting value: line 1 column 1 (char 0))"),
     (b"[1,2,3]", "document: must be an object"),
@@ -76,6 +88,15 @@ DRAWING_CASES = [
     (_drawing(("map", "nodes", 0), [0, "crossing"]), "map.nodes: node 0 must be tagged 'real'"),
     (_drawing(("map", "nodes", 5, 1), "hub"), "map.nodes: bad node entry [5, 'hub']"),
     (_drawing(("map", "nodes", 5), delete=True), "map.nodes: ids differ from the map.rotations ids"),
+    (_repeat(("map", "rotations")), "map.rotations: duplicate node id 0"),
+    (_repeat(("map", "rotations"), 5), "map.rotations: duplicate node id 5"),
+    (_drawing(("map", "rotations", 1, 0), 0), "map.rotations: duplicate node id 0"),
+    (_repeat(("map", "involution")), "map.involution: duplicate dart 0"),
+    (_repeat(("map", "involution"), 3, lambda x: x[::-1]), "map.involution: duplicate dart 7"),
+    (_drawing(("map", "involution", 0), [0, 0]), "map.involution: duplicate dart 0"),
+    (_drawing(("map", "involution", 1), [0, 2]), "map.involution: duplicate dart 0"),
+    (_repeat(("edge_paths",)), "edge_paths: duplicate edge id 0"),
+    (_drawing(("edge_paths", 1, 0), 0), "edge_paths: duplicate edge id 0"),
 ]
 
 GRAPH_CASES = [
