@@ -47,10 +47,10 @@ def canonical_json(obj) -> bytes:
 # ---------------------------------------------------------------------------
 
 
-def drawing_to_doc(d: Drawing, meta: dict | None = None) -> dict:
+def drawing_to_doc(d: Drawing) -> dict:
     c = d.canonicalize()
     real = set(c.graph.vertices)
-    doc = {
+    return {
         "format": DRAWING_FORMAT,
         "graph": {
             "vertices": list(c.graph.vertices),
@@ -65,13 +65,10 @@ def drawing_to_doc(d: Drawing, meta: dict | None = None) -> dict:
         },
         "edge_paths": [[eid, list(c.edge_paths[eid])] for eid in c.graph.edge_ids()],
     }
-    if meta:
-        doc["meta"] = {k: meta[k] for k in sorted(meta)}
-    return doc
 
 
-def serialize_drawing(d: Drawing, meta: dict | None = None) -> bytes:
-    return canonical_json(drawing_to_doc(d, meta))
+def serialize_drawing(d: Drawing) -> bytes:
+    return canonical_json(drawing_to_doc(d))
 
 
 def _is_int(x) -> bool:

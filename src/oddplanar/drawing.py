@@ -25,7 +25,9 @@ Two conventions are load-bearing everywhere:
   smaller (edge id, route position)), with in/out darts taken along each
   edge's end0->end1 direction, the clockwise rotation is
   ``(P_in, Q_in, P_out, Q_out)`` when the spin is True and
-  ``(P_in, Q_out, P_out, Q_in)`` when it is False.
+  ``(P_in, Q_out, P_out, Q_in)`` when it is False.  For two distinct
+  edges, :func:`spin` is the one rule that turns the side one edge passes
+  from into this bit; every caller that draws a crossing uses it.
 """
 from __future__ import annotations
 
@@ -47,6 +49,13 @@ class Violation:
 
     def __str__(self) -> str:
         return f"{self.kind}: {self.locus}"
+
+
+def spin(a: int, b: int, b_from_left: bool) -> bool:
+    """The stored spin of a crossing of distinct edges a and b, where
+    ``b_from_left`` says that, both edges taken end0 -> end1, b passes
+    from a's left to a's right.  Reversing either edge flips the bit."""
+    return b_from_left == (a < b)
 
 
 def _norm_cyclic(seq: tuple) -> tuple:
@@ -687,17 +696,13 @@ class Drawing:
         vmap = {v: v_base + i for i, v in enumerate(sorted(other.graph.vertices))}
         emap = {e: e_base + i for i, e in enumerate(other.graph.edge_ids())}
         vr, rt, sp = other.route_view()
-        moved = Drawing.from_routes(
-            Multigraph(
-                tuple(vmap[v] for v in other.graph.vertices),
-                tuple((emap[e], (vmap[u], vmap[v])) for e, (u, v) in other.graph.edges),
-            ),
+        moved = (
+            tuple((emap[e], (vmap[u], vmap[v])) for e, (u, v) in other.graph.edges),
             {vmap[v]: tuple((emap[e], end) for e, end in vr[v]) for v in vr},
             {emap[e]: r for e, r in rt.items()},
             sp,
-            validate=False,
         )
-        return merge_disjoint([self, moved])
+        return _union_views([(self.graph.edges, *self.route_view()), moved])
 
     # ------------------------------------------------------------------
     # Canonical form
@@ -738,24 +743,33 @@ class Drawing:
 def merge_disjoint(drawings: list[Drawing]) -> Drawing:
     """Union of drawings whose vertex and edge id sets are already disjoint
     (ids are preserved, unlike :meth:`Drawing.disjoint_union`)."""
-    verts: list[int] = []
+    verts: set[int] = set()
+    eids: set[int] = set()
+    for d in drawings:
+        if verts & set(d.graph.vertices):
+            raise ValueError("vertex id collision in merge_disjoint")
+        if eids & set(d.graph.edge_ids()):
+            raise ValueError("edge id collision in merge_disjoint")
+        verts.update(d.graph.vertices)
+        eids.update(d.graph.edge_ids())
+    return _union_views([(d.graph.edges, *d.route_view()) for d in drawings])
+
+
+def _union_views(parts) -> Drawing:
+    """Materialize route views side by side in one build.  Each part is
+    (edges as ``(id, (u, v))`` pairs, vertex endings, routes, spins), and
+    no two parts share a vertex or edge id.  Crossing keys are namespaced
+    by part index, so parts may reuse them."""
     edges: list = []
     vrot: dict[int, tuple] = {}
     routes: dict[int, tuple] = {}
     spins: dict = {}
-    for i, d in enumerate(drawings):
-        if set(d.graph.vertices) & set(verts):
-            raise ValueError("vertex id collision in merge_disjoint")
-        if set(d.graph.edge_ids()) & {e for e, _ in edges}:
-            raise ValueError("edge id collision in merge_disjoint")
-        verts.extend(d.graph.vertices)
-        edges.extend(d.graph.edges)
-        vr, rt, sp = d.route_view()
+    for i, (es, vr, rt, sp) in enumerate(parts):
+        edges.extend(es)
         vrot.update(vr)
         routes.update({e: tuple((i, c) for c in r) for e, r in rt.items()})
         spins.update({(i, c): s for c, s in sp.items()})
-    g = Multigraph(tuple(verts), tuple(edges))
-    return Drawing.from_routes(g, vrot, routes, spins, validate=False)
+    return Drawing.from_routes(Multigraph(tuple(vrot), tuple(edges)), vrot, routes, spins, validate=False)
 
 
 # ----------------------------------------------------------------------

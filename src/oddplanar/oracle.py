@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 
 from .bounds import BoundReport, audit_drawing, modd_upper
-from .drawing import Drawing, Ending
+from .drawing import Drawing, Ending, spin
 from .graphs import Multigraph
 from .surgery import (
     MoveRecord,
@@ -126,7 +126,7 @@ def _convex_drawing(g: Multigraph, seed: int) -> Drawing:
             key = (e, f)
             along[e].append((s, key))
             along[f].append((t, key))
-            spins[key] = den < 0  # clockwise successor of P1_in is P2_in
+            spins[key] = spin(e, f, den < 0)  # f passes from e's left iff d1 x d2 < 0
         degenerate = False
         routes: dict[int, tuple] = {}
         for e in eids:
@@ -442,12 +442,14 @@ def _routed_is_k_odd_plane(base: Drawing, crossed: list[int], k: int) -> bool:
     crossed dart is one crossing of the new edge with that dart's edge,
     so the new edge's odd partners are the edges it crosses an odd number
     of times, each of which gains one partner; no other pair changes
-    parity."""
+    parity.  ``base`` must itself be k-odd-plane, which is not rechecked:
+    the search's current drawing always is, and removing an edge never
+    raises an odd degree."""
     seg_of = base.segment_of_dart()
     odd: set[int] = set()
     for x in crossed:
         odd ^= {seg_of[x][0]}
-    if len(odd) > k or not base.is_k_odd_plane(k):
+    if len(odd) > k:
         return False
     return all(base.odd_degree(g) < k for g in odd)
 

@@ -33,7 +33,7 @@ import heapq
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 
-from .drawing import Drawing, Ending, ParitySketch
+from .drawing import Drawing, Ending, ParitySketch, _union_views, spin
 from .graphs import Multigraph, connected_components
 
 
@@ -254,7 +254,8 @@ def lemma1_redraw(sketch: OneVertexSketch) -> Drawing:
 
     order = elimination_order(span)
 
-    # Insert in reverse elimination order; routes run minus -> plus.
+    # Insert in reverse elimination order; routes run minus -> plus and
+    # are reversed at the end for the loops whose minus ending is end 1.
     routes: dict[int, list] = {e: [] for e in sketch.loops}
     spins: dict[tuple, bool] = {}
     inserted_at: list[int] = []  # sorted positions of the inserted loops' endings
@@ -267,30 +268,20 @@ def lemma1_redraw(sketch: OneVertexSketch) -> Drawing:
         for f, f_end in crossed:
             key = ("x", e, f)
             routes[e].append(key)
-            is_minus = f_end == minus_end[f]
-            if is_minus:
+            if f_end == minus_end[f]:
                 routes[f].insert(0, key)
             else:
                 routes[f].append(key)
-            spins[key] = (e < f) != is_minus
+            # Both taken minus -> plus, f passes from e's left iff e crosses
+            # f's plus ending.  Each loop whose minus ending is end 1 runs
+            # the other way when stored, which flips the side, so in stored
+            # directions f passes from e's left iff f_end != minus_end[e].
+            spins[key] = spin(e, f, f_end != minus_end[e])
         insort(inserted_at, a)
         insort(inserted_at, b)
 
-    # Convert minus->plus routes to the stored end0->end1 direction.
-    flips: dict[tuple, int] = {k: 0 for k in spins}
-    final_routes: dict[int, tuple] = {}
-    for e in sketch.loops:
-        if minus_end[e] == 0:
-            final_routes[e] = tuple(routes[e])
-        else:
-            final_routes[e] = tuple(reversed(routes[e]))
-            for key in routes[e]:
-                flips[key] += 1
-    final_spins = {k: s != bool(flips[k] % 2) for k, s in spins.items()}
-
-    return Drawing.from_routes(
-        sketch.graph(), {sketch.vertex: sketch.rotation}, final_routes, final_spins
-    )
+    final_routes = {e: tuple(r if minus_end[e] == 0 else reversed(r)) for e, r in routes.items()}
+    return Drawing.from_routes(sketch.graph(), {sketch.vertex: sketch.rotation}, final_routes, spins)
 
 
 # ---------------------------------------------------------------------------
@@ -546,11 +537,8 @@ def theorem2_transform(d: Drawing, k: int) -> PipelineTrace:
     sketches: list[OneVertexSketch] = []
     stacks: list[tuple[SplitRecord, ...]] = []
     g3: list[Drawing] = []
-    # Route view of g4, assembled component by component and materialized once.
-    vrot4: dict[int, tuple[Ending, ...]] = {}
-    edges4: dict[int, tuple[int, int]] = {}
-    routes4: dict[int, tuple] = {}
-    spins4: dict = {}
+    # Route views of g4's components, materialized together once.
+    parts: list[tuple] = []
     for i, comp in enumerate(comps):
         # The component's parity sketch, contracted in place: vertex
         # rotations and current edge endpoints.
@@ -597,14 +585,9 @@ def theorem2_transform(d: Drawing, k: int) -> PipelineTrace:
         vrot, routes, edges = dict(vrot), dict(routes), dict(redrawn.graph.edges)
         for rec in reversed(stack):
             _split(vrot, edges, routes, rec)
-        vrot4.update(vrot)
-        edges4.update(edges)
-        routes4.update({e: tuple((i, c) for c in r) for e, r in routes.items()})
-        spins4.update({(i, c): s for c, s in spins.items()})
+        parts.append((edges.items(), vrot, routes, spins))
 
-    g4 = Drawing.from_routes(
-        Multigraph(tuple(vrot4), tuple(edges4.items())), vrot4, routes4, spins4, validate=False
-    )
+    g4 = _union_views(parts)
     assert g4.graph == g1.graph, "pipeline changed the underlying graph"
     return PipelineTrace(
         input=d,

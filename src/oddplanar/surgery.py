@@ -10,48 +10,17 @@ Corners are addressed by darts: the corner of a face at a node sits
 immediately counterclockwise of the face-cycle dart leaving that node,
 so "insert before dart d" places a new ending into exactly that corner.
 
-Spin computation is shared: every new crossing is described locally by
-the clockwise order of (in, out) darts of the two passes relative to
-their travel directions, then translated to the stored end0->end1
-convention of :meth:`Drawing.from_routes`.
+Every new crossing gets its stored bit from :func:`drawing.spin`: each
+move works out which side one edge, taken end0->end1, passes the other
+from, and ``spin`` turns that side into the stored bit.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 
-from .drawing import Drawing, Ending
+from .drawing import Drawing, Ending, spin
 from .graphs import Multigraph
-
-
-def _spin_for(local_clockwise: tuple[str, str, str, str], a_eid: int, b_eid: int,
-              a_forward: bool, b_forward: bool) -> bool:
-    """Translate a local clockwise pattern over symbols A_in/A_out/B_in/B_out
-    (relative to travel directions) into the stored spin bit.
-
-    ``a_forward`` says whether A's travel direction agrees with its edge's
-    end0->end1 direction; same for B.  The two edges must be distinct.
-    """
-    if a_eid == b_eid:
-        raise ValueError("local spin rule needs two distinct edges")
-
-    def rename(sym: str) -> str:
-        letter, side = sym.split("_")
-        fwd = a_forward if letter == "A" else b_forward
-        if not fwd:
-            side = "in" if side == "out" else "out"
-        return f"{letter}_{side}"
-
-    pat = tuple(rename(s) for s in local_clockwise)
-    p1 = "A" if a_eid < b_eid else "B"
-    p2 = "B" if p1 == "A" else "A"
-    i = pat.index(f"{p1}_in")
-    succ = pat[(i + 1) % 4]
-    if succ == f"{p2}_in":
-        return True
-    if succ == f"{p2}_out":
-        return False
-    raise AssertionError("pattern does not alternate")
 
 
 def insert_vertex_in_face(d: Drawing, face: tuple[int, ...], corner_positions: list[int],
@@ -109,39 +78,20 @@ def route_edge(d: Drawing, eid: int, u: int, v: int,
     vrot, routes, spins = d.route_view()
     vrot, routes, spins = dict(vrot), dict(routes), dict(spins)
     seg_of = d.segment_of_dart()
-    segs = set()
-    for x in crossed_darts:
-        key = frozenset((x, d.theta[x]))
-        if key in segs:
-            raise ValueError("dual path crosses a segment twice")
-        segs.add(key)
 
-    # New crossings, travel order.
-    inserts: dict[tuple[int, int], object] = {}  # (edge, segment) -> key
-    new_route = []
+    # New crossings, travel order: (edge, segment) -> key.
+    inserts: dict[tuple[int, int], object] = {}
     for i, x in enumerate(crossed_darts):
         g, q, fwd = seg_of[x]
-        key = ("new", i)
-        new_route.append(key)
-        inserts[(g, q)] = key
-        # Local clockwise picture: crossing from the dart's left side,
-        # B = crossed dart's travel direction: (A_in, B_out, A_out, B_in).
-        spins[key] = _spin_for(("A_in", "B_out", "A_out", "B_in"), eid, g, True, fwd)
-
-    # Splice new crossings into the crossed edges' routes.
-    by_edge: dict[int, list[tuple[int, object]]] = {}
-    for (g, q), key in inserts.items():
-        by_edge.setdefault(g, []).append((q, key))
-    for g, items in by_edge.items():
-        old = routes[g]
-        out: list = []
-        at: dict[int, object] = dict(items)
-        for q in range(len(old) + 1):
-            if q in at:
-                out.append(at[q])
-            if q < len(old):
-                out.append(old[q])
-        routes[g] = out
+        if (g, q) in inserts:
+            raise ValueError("dual path crosses a segment twice")
+        key = inserts[g, q] = ("new", i)
+        # The new edge crosses from x's left to its right, so x's edge
+        # passes from the new edge's right when x points along it.
+        spins[key] = spin(eid, g, not fwd)
+    # Splice each crossing into its segment, last segments first.
+    for (g, q), key in sorted(inserts.items(), reverse=True):
+        routes[g] = routes[g][:q] + (key,) + routes[g][q:]
 
     for end, vert, corner in ((0, u, u_corner), (1, v, v_corner)):
         if corner is None:
@@ -155,7 +105,7 @@ def route_edge(d: Drawing, eid: int, u: int, v: int,
             vrot[vert] = vrot[vert][:j] + ((eid, end),) + vrot[vert][j:]
 
     g2 = Multigraph(d.graph.vertices, d.graph.edges + ((eid, (u, v)),))
-    routes[eid] = new_route
+    routes[eid] = tuple(inserts.values())
     return Drawing.from_routes(g2, vrot, routes, spins, validate=False)
 
 
@@ -260,9 +210,10 @@ def double_crossing_move(d: Drawing, dart_a: int, dart_b: int) -> tuple[Drawing,
     z1, z2 = ("dx", 1), ("dx", 2)
     # Walking the face, A traverses its segment along dart_a and B along
     # dart_b; in the disk between them A meets z1 then z2, B meets z2
-    # then z1.  Local clockwise rotations (travel-relative):
-    spins[z1] = _spin_for(("A_out", "B_in", "A_in", "B_out"), ea, eb, fa, fb)
-    spins[z2] = _spin_for(("A_in", "B_in", "A_out", "B_out"), ea, eb, fa, fb)
+    # then z1.  Along those darts B passes from A's right at z1 and from
+    # A's left at z2; each dart against its edge's direction flips that.
+    spins[z1] = spin(ea, eb, fa != fb)
+    spins[z2] = spin(ea, eb, fa == fb)
 
     pair_a = (z1, z2) if fa else (z2, z1)
     pair_b = (z2, z1) if fb else (z1, z2)
@@ -387,9 +338,8 @@ def add_diagonals(d: Drawing) -> Drawing:
         routes[ea] = [z]
         routes[eb] = [z]
         # A runs corner0 -> corner2, B corner1 -> corner3; with the face
-        # walked counterclockwise the clockwise order at the crossing is
-        # (A_in, B_out, A_out, B_in).
-        spins[z] = _spin_for(("A_in", "B_out", "A_out", "B_in"), ea, eb, True, True)
+        # walked counterclockwise B passes from A's right.
+        spins[z] = spin(ea, eb, False)
         for end, pos, e in ((0, 0, ea), (1, 2, ea), (0, 1, eb), (1, 3, eb)):
             pending[face[pos]] = (e, end)
     vrot: dict[int, list[Ending]] = {}
