@@ -104,7 +104,6 @@ class Drawing:
         "_self_counts",
         "_odd_deg",
         "_violations",
-        "_tokens",
         "_passes",
         "_routes",
         "_faces",
@@ -135,7 +134,6 @@ class Drawing:
         self._self_counts = None
         self._odd_deg = None
         self._violations = None
-        self._tokens = None
         self._passes = None
         self._routes = None
         self._faces = None
@@ -162,8 +160,8 @@ class Drawing:
         renumbered to node ids above the largest vertex id, in order of
         first appearance along edges taken in id order.  Dart ids are
         assigned the same way, which makes the output canonical.  The
-        output comes with its route view, crossing passes, segment map and
-        dart-to-ending map, kept from the build.
+        output comes with its route view, crossing passes and segment map,
+        kept from the build.
         """
         eids = graph.edge_ids()
         if set(routes) != set(eids):
@@ -195,11 +193,11 @@ class Drawing:
         node_of_key = {key: base + i for i, key in enumerate(occurrences)}
 
         # Darts: edge by edge, two per segment, numbered consecutively, so
-        # the partner of dart x is x ^ 1.  The ending and segment maps and
-        # the node-id routes are views the lazy accessors would derive;
-        # they are kept as the darts are assigned.
+        # the partner of dart x is x ^ 1, every dart of an edge is below
+        # every dart of a later edge, and p[0] < p[-1] on each path p.  The
+        # segment map and the node-id routes are views the lazy accessors
+        # would derive; they are kept as the darts are assigned.
         edge_paths: dict[int, tuple[int, ...]] = {}
-        tokens: dict[int, Ending] = {}
         segments: dict[int, tuple[int, int, bool]] = {}
         node_routes: dict[int, tuple[int, ...]] = {}
         first = 0
@@ -210,37 +208,35 @@ class Drawing:
                 segments[x] = (eid, q, True)
                 segments[x + 1] = (eid, q, False)
             edge_paths[eid] = tuple(range(first, end))
-            tokens[first] = (eid, 0)
-            tokens[end - 1] = (eid, 1)
             first = end
         theta = {x: x ^ 1 for x in range(first)}
 
+        # By that numbering endings sort as their darts do: a rotation
+        # normalized on its endings is normalized on its darts.  End 0 or 1
+        # picks p[-0] or p[-1].
         rotation: dict[int, tuple[int, ...]] = {}
         vrot: dict[int, tuple[Ending, ...]] = {}
         for v in graph.vertices:
-            darts = []
-            for eid, end in vertex_rotation[v]:
-                p = edge_paths[eid]
-                darts.append(p[0] if end == 0 else p[-1])
-            rot = rotation[v] = _norm_cyclic(tuple(darts))
-            vrot[v] = tuple(map(tokens.__getitem__, rot))
+            ends = vrot[v] = _norm_cyclic(tuple(vertex_rotation[v]))
+            rotation[v] = tuple([edge_paths[eid][-end] for eid, end in ends])
+        # Occurrences come in (edge id, position) order, so each pass pair is
+        # sorted and a_in is the least of its crossing's four darts: the
+        # rotations below start at their least dart as built.
         passes: dict[int, tuple[tuple[int, int], tuple[int, int]]] = {}
         spin_of: dict[int, bool] = {}
         for key, occ in occurrences.items():
             c = node_of_key[key]
-            (e1, p1), (e2, p2) = passes[c] = tuple(sorted(occ))
+            (e1, p1), (e2, p2) = passes[c] = tuple(occ)
             a_in, a_out = edge_paths[e1][2 * p1 + 1 : 2 * p1 + 3]
             b_in, b_out = edge_paths[e2][2 * p2 + 1 : 2 * p2 + 3]
             spin_of[c] = bool(spins[key])
             if spin_of[c]:
-                rot = (a_in, b_in, a_out, b_out)
+                rotation[c] = (a_in, b_in, a_out, b_out)
             else:
-                rot = (a_in, b_out, a_out, b_in)
-            rotation[c] = _norm_cyclic(rot)
+                rotation[c] = (a_in, b_out, a_out, b_in)
 
         d = cls.__new__(cls)
         d._adopt(graph, rotation, theta, edge_paths)
-        d._tokens = tokens
         d._segments = MappingProxyType(segments)
         d._passes = passes
         d._routes = (MappingProxyType(vrot), MappingProxyType(node_routes), MappingProxyType(spin_of))
@@ -272,19 +268,16 @@ class Drawing:
     def dart_node(self, d: int) -> int:
         return self._dart_node[d]
 
-    def _ending_of_dart(self) -> dict[int, Ending]:
-        if self._tokens is None:
-            out: dict[int, Ending] = {}
-            for eid, p in self.edge_paths.items():
-                out[p[0]] = (eid, 0)
-                out[p[-1]] = (eid, 1)
-            self._tokens = out
-        return self._tokens
+    def _endings(self, darts: Iterable[int]) -> tuple[Ending, ...]:
+        """The edge endings of darts at real vertices.  Such a dart starts
+        its edge's path (segment 0, forward: end 0) or ends it (last
+        segment, backward: end 1), so the segment map names its ending."""
+        seg = self.segment_of_dart()
+        return tuple([(seg[x][0], 0 if seg[x][2] else 1) for x in darts])
 
     def vertex_endings(self, v: int) -> tuple[Ending, ...]:
         """Clockwise cyclic order of edge endings at a real vertex."""
-        token = self._ending_of_dart()
-        return _norm_cyclic(tuple(token[d] for d in self.rotation[v]))
+        return _norm_cyclic(self._endings(self.rotation[v]))
 
     def rotation_system(self) -> dict[int, tuple[Ending, ...]]:
         return {v: self.vertex_endings(v) for v in self.graph.vertices}
@@ -301,7 +294,7 @@ class Drawing:
             for eid in self.graph.edge_ids():
                 for pos, c in enumerate(self.edge_route(eid)):
                     acc.setdefault(c, []).append((eid, pos))
-            self._passes = {c: tuple(sorted(v)) for c, v in acc.items()}
+            self._passes = {c: tuple(v) for c, v in acc.items()}  # collected in sorted order
         return self._passes
 
     def crossing_spin(self, c: int) -> bool:
@@ -324,8 +317,7 @@ class Drawing:
         i names the corner before dart ``rotation[v][i]``.  Cached and
         read-only."""
         if self._routes is None:
-            token = self._ending_of_dart()
-            vrot = {v: tuple(token[d] for d in self.rotation[v]) for v in self.graph.vertices}
+            vrot = {v: self._endings(self.rotation[v]) for v in self.graph.vertices}
             routes = {e: self.edge_route(e) for e in self.graph.edge_ids()}
             spins = {c: self.crossing_spin(c) for c in self.crossing_nodes()}
             self._routes = (MappingProxyType(vrot), MappingProxyType(routes), MappingProxyType(spins))
@@ -653,11 +645,10 @@ class Drawing:
             new_routes[e] = tuple(kept)
         for x in gone:
             del theta[x]
-        token = self._ending_of_dart()
         new_vrot = dict(vrot)
         for v in ends:
             rot = rotation[v] = _norm_cyclic(tuple(x for x in rotation[v] if x not in gone))
-            new_vrot[v] = tuple(map(token.__getitem__, rot))
+            new_vrot[v] = self._endings(rot)
 
         d = Drawing.__new__(Drawing)
         d._adopt(graph, rotation, theta, edge_paths)
@@ -685,7 +676,8 @@ class Drawing:
         }
         d = self.remove_edges(doomed)
         new_graph = Multigraph(tuple(sorted(vs)), d.graph.edges)
-        rotation = {n: r for n, r in d.rotation.items() if n in vs or n not in set(d.graph.vertices)}
+        real = set(d.graph.vertices)
+        rotation = {n: r for n, r in d.rotation.items() if n in vs or n not in real}
         return Drawing(new_graph, rotation, d.theta, d.edge_paths)
 
     def disjoint_union(self, other: "Drawing") -> "Drawing":

@@ -23,6 +23,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
+from math import comb
 
 from .bounds import BoundReport, audit_drawing, modd_upper
 from .drawing import Drawing, Ending, spin
@@ -38,6 +39,13 @@ from .surgery import (
     shortest_dual_path,
 )
 from .svg import ccw_key
+
+# Size bounds checked before anything is built.  Exact values list and sort
+# their crossing multisets in memory, about 140 B each; the search's warm
+# start and its list of absent vertex pairs grow as n^2.
+MULTISET_LIMIT = 2_000_000
+SEARCH_N_LIMIT = 2_000
+
 
 class BudgetExceeded(Exception):
     """The candidate or time budget ran out.  ``lower_bound`` is set by
@@ -378,6 +386,8 @@ def exact_crossing_value(
     Candidate multisets are processed serially in (value, multiset) order
     with pruning, so the search stops as soon as no better value is
     possible, and results do not depend on the process or the machine.
+    They are listed in memory, so more than ``MULTISET_LIMIT`` of them is
+    a ValueError, raised before any is listed.
     """
     if variant not in _VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -413,6 +423,11 @@ def exact_crossing_value(
     low = max(1, _counting_lower_bound(g))
     if low > budget.max_crossings:
         return LowerBoundOnly(budget.max_crossings + 1)
+    count = 0
+    for size in range(low, budget.max_crossings + 1):
+        count += comb(comb(g.m, 2) + size - 1, size)
+        if count > MULTISET_LIMIT:
+            raise ValueError(f"at least {count} crossing multisets to list, above the limit of {MULTISET_LIMIT}")
     pairs = sorted(combinations(sorted(g.edge_ids()), 2))
     adjacent = frozenset(p for p in pairs if g.adjacent(*p)).__contains__
     candidates: list[tuple[int, int, tuple]] = []
@@ -472,9 +487,12 @@ def extremal_search(k: int, n: int, budget: EnumerationBudget, seed: int) -> Sea
     diagonal-augmented quadrangulation), then proposes edge additions,
     reroutes and parity-preserving pokes, keeping the constraint hard.
     The reported edge count is audited against modd_upper; exceeding it
-    would mean an implementation bug, not new mathematics."""
+    would mean an implementation bug, not new mathematics.  n above
+    ``SEARCH_N_LIMIT`` is a ValueError, raised before anything is built."""
     if k < 0 or n < 3:
         raise ValueError("need k >= 0 and n >= 3")
+    if n > SEARCH_N_LIMIT:
+        raise ValueError(f"n = {n} is above the limit of {SEARCH_N_LIMIT}")
     rng = random.Random(f"{seed}:search")
     # Every triangulation has 3n - 6 edges, so the triangulation is built
     # only when the denser warm start does not apply.
@@ -533,14 +551,13 @@ def extremal_search(k: int, n: int, budget: EnumerationBudget, seed: int) -> Sea
             continue
         if not cand.is_k_odd_plane(k):
             continue
-        if cand.graph.m >= current.graph.m:
-            current = cand
-            accepted += 1
-            if added is not None:
-                absent.remove(added)
-                next_eid += 1
-            if current.graph.m > best.graph.m:
-                best = current
+        current = cand
+        accepted += 1
+        if added is not None:
+            absent.remove(added)
+            next_eid += 1
+        if current.graph.m > best.graph.m:
+            best = current
     assert best.is_k_odd_plane(k)
     assert not best.validate()
     report = audit_drawing(best, k)

@@ -132,37 +132,26 @@ def shortest_dual_path(d: Drawing, u: int, v: int,
     start = {}
     for x in u_corners:
         start.setdefault(face_of_dart[x], x)
-    # BFS over faces.
-    parent: dict[int, tuple[int, int] | None] = {}
-    order = sorted(start)
+    # BFS over faces: one FIFO queue that grows while it is read.
+    queue = sorted(start)
     if rng is not None:
-        rng.shuffle(order)
-    queue = list(order)
+        rng.shuffle(queue)
+    parent: dict[int, tuple[int, int] | None] = dict.fromkeys(queue)
+    goal = next((f for f in queue if f in v_faces), None)
     for f in queue:
-        parent[f] = None
-    goal = None
-    for f in queue:
-        if f in v_faces:
-            goal = f
+        if goal is not None:
             break
-    while goal is None and queue:
-        nxt: list[int] = []
-        for f in queue:
-            darts = list(faces[f])
-            if rng is not None:
-                rng.shuffle(darts)
-            for x in darts:
-                g = face_of_dart[d.theta[x]]
-                if g in parent:
-                    continue
+        darts = list(faces[f])
+        if rng is not None:
+            rng.shuffle(darts)
+        for x in darts:
+            g = face_of_dart[d.theta[x]]
+            if g not in parent:
                 parent[g] = (f, x)
-                nxt.append(g)
+                queue.append(g)
                 if g in v_faces:
                     goal = g
                     break
-            if goal is not None:
-                break
-        queue = nxt
     if goal is None:
         # Different map components with no shared face: plain bridge.
         return u_corners[0], v_corners[0], []

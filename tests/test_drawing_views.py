@@ -1,7 +1,7 @@
-"""``Drawing.from_routes`` fills the route, pass, segment and ending views
-while it assigns darts.  Those seeded views must equal, value for value
-and in iteration order, the views the raw constructor derives lazily from
-the same map."""
+"""``Drawing.from_routes`` fills the route, pass and segment views while it
+assigns darts.  Those seeded views must equal, value for value and in
+iteration order, the views the raw constructor derives lazily from the
+same map."""
 from __future__ import annotations
 
 from functools import cache
@@ -37,7 +37,7 @@ def views(d: Drawing) -> list[str]:
     vrot, routes, spins = d.route_view()
     return [
         repr(list(m.items()))
-        for m in (vrot, routes, spins, d.crossing_passes(), d.segment_of_dart(), d._ending_of_dart())
+        for m in (vrot, routes, spins, d.crossing_passes(), d.segment_of_dart())
     ]
 
 
@@ -119,3 +119,13 @@ def test_corpus_has_crossings_self_crossings_and_loops():
     assert sum(len(d.crossing_nodes()) for d in drawings) > 50
     assert any(d.self_crossing_count(e) for d in drawings for e in d.graph.edge_ids())
     assert any(u == v for d in drawings for _, (u, v) in d.graph.edges)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_rotations_start_at_their_least_dart_and_passes_are_sorted(name):
+    # from_routes stores both as built, without normalizing or sorting
+    for d in CORPUS[name]():
+        for node, rot in d.rotation.items():
+            assert not rot or rot[0] == min(rot), (node, rot)
+        for c, passes in d.crossing_passes().items():
+            assert list(passes) == sorted(passes), (c, passes)

@@ -182,6 +182,39 @@ def test_cli_oracle_refuses_huge_or_malformed_names(spec):
     assert len(lines) == 1 and lines[0].startswith(f"error: graph {spec!r}: "), lines
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["oracle", "K5", "--variant", "cr", "--rule", "zero", "--max-crossings", "6"], "crossing multisets"),
+        (["search", "--k", "1", "--n", "100000"], "n = 100000"),
+    ],
+)
+def test_cli_refuses_oversized_listings_before_building_them(argv, message):
+    # under a memory cap, so a listing built before the size check fails
+    # the test instead of exhausting the machine
+    pytest.importorskip("resource")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "oddplanar", *argv],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        preexec_fn=_limit_memory,
+        timeout=60,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == b""
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0], lines
+
+
+def test_cli_oracle_planar_and_small_answers_pass_the_multiset_limit(capsys):
+    # a planar verdict needs no listing, whatever the crossing budget
+    assert main(["oracle", "C6", "--variant", "cr", "--rule", "zero", "--max-crossings", "50"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == 0
+    assert main(["oracle", "K5", "--variant", "cr", "--rule", "zero", "--max-crossings", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == 1
+
+
 def test_validate_reports_edge_path_dart_missing_from_involution(tmp_path, capsys):
     from oddplanar import Drawing, validate_drawing
     from oddplanar.oracle import random_drawing
