@@ -69,9 +69,11 @@ NAMED_GRAPH_LIMIT = 100_000
 
 def _named_graph(spec: str) -> Multigraph:
     """Kn, Ka,b or Cn, refused before it is built if it exceeds
-    NAMED_GRAPH_LIMIT; any other spec is a graph document path."""
+    NAMED_GRAPH_LIMIT.  A spec is read as a name when it is K or C followed
+    by nothing but digits, commas and minus signs; any other spec is a
+    graph document path."""
     s = spec.strip()
-    if s[:1].upper() not in ("K", "C"):
+    if not re.fullmatch(r"[KC][0-9,-]*", s, re.IGNORECASE):
         return parse_graph(Path(s).read_bytes())
     m = re.fullmatch(r"([KC])([0-9]+)(?:,([0-9]+))?", s, re.IGNORECASE)
     try:
@@ -128,8 +130,7 @@ def _cmd_stats(args) -> int:
 def _cmd_redraw_lemma1(args) -> int:
     d = _load_drawing(args.file)
     if d.graph.n != 1 or any(u != v for _, (u, v) in d.graph.edges):
-        sys.stderr.write("input must be a one-vertex drawing (all loops)\n")
-        return 1
+        raise ValueError("input must be a one-vertex drawing (all loops)")
     v = d.graph.vertices[0]
     sk = OneVertexSketch(v, d.vertex_endings(v))
     out = lemma1_redraw(sk)

@@ -13,15 +13,16 @@ by the rotation: the pair is odd iff the endings of one interleave with
 the endings of the other.  ``interleaving_parity`` implements that
 predicate directly and doubles as the independent test oracle for the
 redrawing output; ``interleaving_pairs`` lists the whole relation in one
-sweep.
+sweep.  The redrawing is that relation in closed form: the loops are
+ranked by span length from the reference point, the nearer loop of each
+alternating pair crosses the other once, and each route is one sort.
 
 Cost.  ``theorem2_transform`` is near-linear, and so is the trace it
 returns.  Each forest tree is contracted by one walk around it, linear in
 the degrees of its vertices; splitting gives every vertex back its
 rotation in g1, so g4 is built from g1's rotations and g3's routes in a
-single call.  The elimination order takes O(L log L) for L loops when
-no two loops alternate; a loop blocked by alternating loops may be
-re-examined once per loop nested in it.  The proof self-checks all stay:
+single call.  ``lemma1_redraw`` takes O(L log L + P log P) for L loops
+and P alternating pairs.  The proof self-checks all stay:
 the parity of every loop pair is compared with the carried relation in
 one sweep, and the walk must enter every vertex of its tree once and list
 every other edge of the component twice.  ``contract_even_edge`` and
@@ -30,8 +31,6 @@ callers that want one edge at a time.
 """
 from __future__ import annotations
 
-import heapq
-from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 
 from .drawing import Drawing, Ending, ParitySketch, _norm_cyclic, _union_views, spin
@@ -158,91 +157,19 @@ def check_sketch_parity(sketch: OneVertexSketch, odd_pairs: frozenset[tuple[int,
     )
 
 
-def elimination_order(span: dict[int, tuple[int, int]]) -> list[int]:
-    """Repeatedly take the nesting-minimal loop with the smallest id: the
-    lexicographically least order in which every loop follows the loops
-    nested in it.  ``span`` maps each loop to its two (distinct) ending
-    positions a < b in the linearized rotation; f is nested in e when
-    a_e < a_f and b_f < b_e.
-
-    Kahn's algorithm with a min-heap of the loops that contain no remaining
-    loop.  A blocked loop waits on one witness, the remaining nested loop
-    that starts leftmost, found by descending a min segment tree that holds
-    each remaining loop's end position at its start position; it is
-    re-examined only when its witness is taken.  O(L log L) when no two
-    loops alternate.
-    """
-    inf = 2 * len(span)
-    size = 1
-    while size < inf:
-        size *= 2
-    tree = [inf] * (2 * size)
-    loop_at: dict[int, int] = {}
-    for e, (a, b) in span.items():
-        tree[size + a] = b
-        loop_at[a] = e
-    for i in range(size - 1, 0, -1):
-        tree[i] = min(tree[2 * i], tree[2 * i + 1])
-
-    def first_nested(e: int) -> int | None:
-        a, b = span[e]
-        lo, hi = size + a + 1, size + b
-        left: list[int] = []
-        right: list[int] = []
-        while lo < hi:
-            if lo & 1:
-                left.append(lo)
-                lo += 1
-            if hi & 1:
-                hi -= 1
-                right.append(hi)
-            lo >>= 1
-            hi >>= 1
-        for node in left + right[::-1]:
-            if tree[node] < b:
-                while node < size:
-                    node = 2 * node if tree[2 * node] < b else 2 * node + 1
-                return loop_at[node - size]
-        return None
-
-    heap: list[int] = []
-    waiting: dict[int, list[int]] = {}
-
-    def place(e: int) -> None:
-        w = first_nested(e)
-        if w is None:
-            heapq.heappush(heap, e)
-        else:
-            waiting.setdefault(w, []).append(e)
-
-    for e in span:
-        place(e)
-    order: list[int] = []
-    while heap:
-        f = heapq.heappop(heap)
-        order.append(f)
-        i = size + span[f][0]
-        tree[i] = inf
-        i >>= 1
-        while i:
-            tree[i] = min(tree[2 * i], tree[2 * i + 1])
-            i >>= 1
-        for e in waiting.pop(f, ()):
-            place(e)
-    return order
-
-
 def lemma1_redraw(sketch: OneVertexSketch) -> Drawing:
     """Redraw the loops so that the rotation is unchanged, even pairs do
     not cross, odd pairs cross exactly once, and nothing crosses itself.
 
-    Works inductively: repeatedly take a loop minimal in the nesting
-    order (no other loop has both endings strictly inside its span from
-    the reference point), set it aside, redraw the rest, then reinsert it
-    as an arc hugging the vertex that crosses exactly the endings lying
-    strictly inside its span.  Each new crossing is the innermost one on
-    the loop it crosses, and crossings along the inserted arc follow the
-    rotation order of the crossed endings.
+    The closed form of the inductive construction: rank the loops by the
+    length of their span from the reference point, then id.  A loop nested
+    in another has the shorter span, so it lies nearer the vertex; drawn
+    as arcs hugging the vertex, the nearer loop of an alternating pair
+    crosses the other once, at the other's ending inside its own span, and
+    no other pair crosses.  Read minus -> plus, a loop meets the nearer
+    loops crossing its minus ending (nearest first), then the endings
+    inside its span (in rotation order), then the nearer loops crossing
+    its plus ending (farthest first).
     """
     lin = sketch.linear()
     pos = {tok: i for i, tok in enumerate(lin)}
@@ -252,37 +179,34 @@ def lemma1_redraw(sketch: OneVertexSketch) -> Drawing:
         p0, p1 = sorted((pos[(eid, 0)], pos[(eid, 1)]))
         span[eid] = (p0, p1)
         minus_end[eid] = lin[p0][1]
+    rank = {e: r for r, e in enumerate(sorted(span, key=lambda e: (span[e][1] - span[e][0], e)))}
 
-    order = elimination_order(span)
-
-    # Insert in reverse elimination order; routes run minus -> plus and
-    # are reversed at the end for the loops whose minus ending is end 1.
-    routes: dict[int, list] = {e: [] for e in sketch.loops}
+    # Sort keys along each route, minus -> plus: rank - 2L at the minus
+    # ending, the position inside the span, 4L - rank at the plus ending.
+    # Routes are reversed at the end for the loops whose minus ending is end 1.
+    n = len(lin)
+    along: dict[int, list] = {e: [] for e in sketch.loops}
     spins: dict[tuple, bool] = {}
-    inserted_at: list[int] = []  # sorted positions of the inserted loops' endings
-    for e in reversed(order):
-        a, b = span[e]
-        inside = inserted_at[bisect_right(inserted_at, a) : bisect_left(inserted_at, b)]
-        crossed = [lin[i] for i in inside]
-        hit_loops = [f for f, _ in crossed]
-        assert len(set(hit_loops)) == len(hit_loops), "minimal loop crossed a loop twice"
-        for f, f_end in crossed:
-            key = ("x", e, f)
-            routes[e].append(key)
-            if f_end == minus_end[f]:
-                routes[f].insert(0, key)
-            else:
-                routes[f].append(key)
-            # Both taken minus -> plus, f passes from e's left iff e crosses
-            # f's plus ending.  Each loop whose minus ending is end 1 runs
-            # the other way when stored, which flips the side, so in stored
-            # directions f passes from e's left iff f_end != minus_end[e].
-            spins[key] = spin(e, f, f_end != minus_end[e])
-        insort(inserted_at, a)
-        insort(inserted_at, b)
+    for e, f in interleaving_pairs(sketch.rotation):
+        if rank[f] < rank[e]:
+            e, f = f, e  # e is the nearer loop
+        (a, b), (c, d) = span[e], span[f]
+        p = c if a < c < b else d
+        assert a < p < b, "nearer loop does not pass the other loop's ending"
+        key, f_end = ("x", e, f), lin[p][1]
+        along[e].append((p, key))
+        along[f].append((rank[e] - n if p == c else 2 * n - rank[e], key))
+        # Both taken minus -> plus, f passes from e's left iff e crosses
+        # f's plus ending.  Each loop whose minus ending is end 1 runs the
+        # other way when stored, which flips the side, so in stored
+        # directions f passes from e's left iff f_end != minus_end[e].
+        spins[key] = spin(e, f, f_end != minus_end[e])
 
-    final_routes = {e: tuple(r if minus_end[e] == 0 else reversed(r)) for e, r in routes.items()}
-    return Drawing.from_routes(sketch.graph(), {sketch.vertex: sketch.rotation}, final_routes, spins)
+    routes = {}
+    for e, keyed in along.items():
+        route = [key for _, key in sorted(keyed)]
+        routes[e] = tuple(route if minus_end[e] == 0 else reversed(route))
+    return Drawing.from_routes(sketch.graph(), {sketch.vertex: sketch.rotation}, routes, spins)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from oddplanar.docio import (
 )
 from oddplanar.bounds import audit_drawing, sampling_experiment
 from oddplanar.cli import main
-from oddplanar import complete_graph
+from oddplanar import Multigraph, complete_graph
 from oddplanar.surgery import quadrangulation_with_diagonals
 from fixtures import figure_eight, k4_convex, k5_one_crossing, lens_pair, triangle
 
@@ -215,6 +215,17 @@ def test_cli_oracle_planar_and_small_answers_pass_the_multiset_limit(capsys):
     assert json.loads(capsys.readouterr().out)["value"] == 1
 
 
+def test_cli_oracle_reads_a_graph_document_whose_name_starts_with_c(tmp_path, monkeypatch, capsys):
+    # the cube, bottom face 0-3, top face 4-7: planar, so its crossing number is 0
+    edges = [(i, (i, (i + 1) % 4)) for i in range(4)]
+    edges += [(4 + i, (4 + i, 4 + (i + 1) % 4)) for i in range(4)]
+    edges += [(8 + i, (i, 4 + i)) for i in range(4)]
+    (tmp_path / "cube.json").write_bytes(serialize_graph(Multigraph(tuple(range(8)), tuple(edges))))
+    monkeypatch.chdir(tmp_path)
+    assert main(["oracle", "cube.json", "--variant", "cr", "--rule", "zero"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == 0
+
+
 def test_validate_reports_edge_path_dart_missing_from_involution(tmp_path, capsys):
     from oddplanar import Drawing, validate_drawing
     from oddplanar.oracle import random_drawing
@@ -315,6 +326,14 @@ def test_cli_redraw_lemma1(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     d = parse_drawing(json.dumps(out))
     assert d.self_crossing_count(0) == 0
+
+
+def test_cli_redraw_lemma1_refuses_a_drawing_with_two_vertices(tmp_path, capsys):
+    f = drawing_file(tmp_path, triangle())
+    assert main(["redraw-lemma1", f]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: input must be a one-vertex drawing (all loops)\n"
 
 
 def test_cli_audit(tmp_path, capsys):

@@ -1,19 +1,23 @@
 """The fast self-checks of the redrawing pipeline agree with their
-brute-force definitions and still fire on bad input."""
+brute-force definitions and still fire on bad input; the closed-form
+Lemma 1 redrawing agrees with the inductive construction it replaces."""
 from __future__ import annotations
+
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oddplanar.drawing import _norm_cyclic
+from oddplanar.docio import serialize_drawing
+from oddplanar.drawing import Drawing, _norm_cyclic, spin
 from oddplanar.oracle import random_drawing
 from oddplanar.redraw import (
     OneVertexSketch,
     check_sketch_parity,
     contract_even_edge,
-    elimination_order,
     interleaving_pairs,
     interleaving_parity,
+    lemma1_redraw,
     split_vertex,
     theorem2_transform,
 )
@@ -29,49 +33,67 @@ def rotations(draw, max_loops: int = 9):
     return tuple(draw(st.permutations(tokens)))
 
 
-def brute_elimination_order(span: dict[int, tuple[int, int]]) -> list[int]:
-    """Repeatedly take the smallest loop with no remaining loop nested in it."""
-    remaining = set(span)
-    order = []
-    while remaining:
-        minimal = []
-        for e in remaining:
-            a, b = span[e]
-            if not any(a < span[f][0] and span[f][1] < b for f in remaining if f != e):
-                minimal.append(e)
-        pick = min(minimal)
-        order.append(pick)
-        remaining.remove(pick)
-    return order
-
-
-def _spans(rotation) -> dict[int, tuple[int, int]]:
-    pos: dict[int, list[int]] = {}
-    for i, (e, _) in enumerate(OneVertexSketch(0, rotation).linear()):
-        pos.setdefault(e, []).append(i)
-    return {e: (p[0], p[1]) for e, p in pos.items()}
+def inserted_lemma1(sketch: OneVertexSketch) -> Drawing:
+    """Lemma 1 by induction: set the loops aside in (span length, id) order,
+    then reinsert them in reverse, each as an arc hugging the vertex that
+    crosses the endings of the loops already drawn strictly inside its
+    span, in rotation order.  A crossed loop gets the new crossing as its
+    innermost one: first on its route if the crossed ending is its minus
+    ending, last otherwise."""
+    lin = sketch.linear()
+    pos = {tok: i for i, tok in enumerate(lin)}
+    span: dict[int, tuple[int, int]] = {}
+    minus_end: dict[int, int] = {}
+    for e in sketch.loops:
+        p0, p1 = sorted((pos[(e, 0)], pos[(e, 1)]))
+        span[e] = (p0, p1)
+        minus_end[e] = lin[p0][1]
+    routes: dict[int, list] = {e: [] for e in sketch.loops}
+    spins: dict[tuple, bool] = {}
+    drawn: list[int] = []
+    for e in sorted(span, key=lambda e: (span[e][1] - span[e][0], e), reverse=True):
+        a, b = span[e]
+        crossed = [lin[i] for i in sorted(drawn) if a < i < b]
+        assert len({f for f, _ in crossed}) == len(crossed), "a loop was crossed twice"
+        for f, f_end in crossed:
+            key = ("x", e, f)
+            routes[e].append(key)
+            if f_end == minus_end[f]:
+                routes[f].insert(0, key)
+            else:
+                routes[f].append(key)
+            spins[key] = spin(e, f, f_end != minus_end[e])
+        drawn += [a, b]
+    final = {e: tuple(r if minus_end[e] == 0 else reversed(r)) for e, r in routes.items()}
+    return Drawing.from_routes(sketch.graph(), {sketch.vertex: sketch.rotation}, final, spins)
 
 
 @settings(max_examples=300, deadline=None)
-@given(rotations())
-def test_elimination_order_matches_brute_force(rotation):
-    span = _spans(rotation)
-    assert elimination_order(span) == brute_elimination_order(span)
+@given(rotations(max_loops=10))
+def test_lemma1_matches_the_insertion(rotation):
+    sk = OneVertexSketch(0, rotation)
+    assert serialize_drawing(lemma1_redraw(sk)) == serialize_drawing(inserted_lemma1(sk))
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 40), st.randoms(use_true_random=False))
-def test_elimination_order_on_laminar_and_chained_spans(depth, rng):
-    # a nested chain plus disjoint siblings: the cases the witness scheme targets
-    span = {e: (e, 2 * depth - 1 - e) for e in range(depth)}
-    base = 2 * depth
-    for e in range(depth, depth + rng.randrange(6)):
-        span[e] = (base, base + 1)
-        base += 2
-    ids = list(span)
-    rng.shuffle(ids)
-    span = {new: span[old] for new, old in zip(range(100, 100 + len(ids)), ids)}
-    assert elimination_order(span) == brute_elimination_order(span)
+def test_lemma1_matches_the_insertion_on_every_small_rotation():
+    count = 0
+    for n_loops in range(5):
+        rest = [(e, end) for e in range(n_loops) for end in (0, 1)][1:]
+        for perm in permutations(rest):
+            sk = OneVertexSketch(0, ((0, 0),) + perm if n_loops else ())
+            assert serialize_drawing(lemma1_redraw(sk)) == serialize_drawing(inserted_lemma1(sk)), sk
+            count += 1
+    assert count == 1 + 1 + 6 + 120 + 5040
+
+
+def test_lemma1_stacks_alternating_loops_by_span():
+    # Loops 2 and 3 have shorter spans than loop 1, so they lie nearer the
+    # vertex and cross loop 1 at its plus ending, farther loop 3 first,
+    # rather than loop 1 crossing their minus endings inside its span.
+    d = lemma1_redraw(OneVertexSketch(0, ((0, 0), (1, 0), (0, 1), (2, 0), (3, 0), (1, 1), (2, 1), (3, 1))))
+    _, routes, spins = d.route_view()
+    assert dict(routes) == {0: (1,), 1: (1, 2, 3), 2: (4, 3), 3: (4, 2)}
+    assert dict(spins) == {1: False, 2: False, 3: False, 4: False}
 
 
 @settings(max_examples=300, deadline=None)
