@@ -79,15 +79,6 @@ class Multigraph:
 
     # -- derived graphs ---------------------------------------------------
 
-    def subgraph(self, vertex_set: set[int]) -> "Multigraph":
-        unknown = vertex_set - set(self.vertices)
-        if unknown:
-            raise KeyError(f"unknown vertex ids {sorted(unknown)}")
-        keep = tuple(
-            (eid, (u, v)) for eid, (u, v) in self.edges if u in vertex_set and v in vertex_set
-        )
-        return Multigraph(tuple(sorted(vertex_set)), keep)
-
     def without_edges(self, edge_set: set[int]) -> "Multigraph":
         """This graph minus the given edges.  What is left of a checked,
         sorted graph needs no second check or sort: only the endpoint

@@ -11,10 +11,13 @@ outer face (largest, ties by least dart) is pinned clockwise on a convex
 polygon of exact rational circle points and every other point sits at
 the average of its neighbours, found by one exact sparse solve.  A simple
 plane triangulation with a convex outer face draws without crossings, so
-the picture is then only audited: the clockwise angular order at every
-node must equal the stored rotation and no two map segments may meet
-outside their shared nodes.  A failed audit raises DegenerateLayout,
-which is a bug for valid drawings.
+the picture is then only audited, in linear time after one sort per
+point: the directions from each point to its neighbours give the layout
+graph a rotation system, which must pass the Euler check and have
+counterclockwise triangles for faces besides the pinned outer polygon,
+and the clockwise order at every map node must equal its stored
+rotation.  A failed audit raises DegenerateLayout, which is a bug for
+valid drawings.
 
 Coordinates in the output are fixed-precision decimals (6 places)
 derived from the exact rationals, so renders are byte-stable.
@@ -28,6 +31,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 
 from .drawing import Drawing
+from .graphs import Multigraph
 
 
 class DegenerateLayout(RuntimeError):
@@ -127,41 +131,6 @@ def _ccw_cmp(a, b) -> int:
 ccw_key = cmp_to_key(_ccw_cmp)
 
 
-def _seg_intersect_badly(p1: Point, p2: Point, q1: Point, q2: Point, share: bool) -> bool:
-    """True if the closed segments meet anywhere besides a shared node
-    endpoint (``share`` marks that they are allowed to touch there).
-    Exact on integer or rational coordinates."""
-    if (
-        max(p1[0], p2[0]) < min(q1[0], q2[0])
-        or max(q1[0], q2[0]) < min(p1[0], p2[0])
-        or max(p1[1], p2[1]) < min(q1[1], q2[1])
-        or max(q1[1], q2[1]) < min(p1[1], p2[1])
-    ):
-        return False  # disjoint bounding boxes share no point
-
-    def orient(a, b, c):
-        v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-        return (v > 0) - (v < 0)
-
-    o1, o2 = orient(p1, p2, q1), orient(p1, p2, q2)
-    o3, o4 = orient(q1, q2, p1), orient(q1, q2, p2)
-    if o1 != o2 and o3 != o4 and 0 not in (o1, o2, o3, o4):
-        return True  # proper crossing
-    touches = [
-        c
-        for o, a, b, c in ((o1, p1, p2, q1), (o2, p1, p2, q2), (o3, q1, q2, p1), (o4, q1, q2, p2))
-        if o == 0
-        and min(a[0], b[0]) <= c[0] <= max(a[0], b[0])
-        and min(a[1], b[1]) <= c[1] <= max(a[1], b[1])
-    ]
-    if not touches:
-        return False
-    if not share:
-        return True
-    shared = {p1, p2} & {q1, q2}
-    return any(t not in shared for t in touches)
-
-
 class _LayoutPlan:
     """One component's layout: the triangulated layout graph, its single
     barycentric solve, and the audit of the picture it gives."""
@@ -171,9 +140,11 @@ class _LayoutPlan:
         self.comp = set(comp)
         self.darts = [x for n in comp for x in d.rotation[n]]
 
-    def layout(self) -> tuple[dict, dict]:
-        """(positions, mids): every layout point's exact position, and the
-        subdivision point on each subdivided dart's side of its segment."""
+    def layout(self) -> tuple[dict, dict, dict, dict]:
+        """(positions, mids, neighbors, pinned): every layout point's exact
+        position, the subdivision point on each subdivided dart's side of
+        its segment, the layout graph's adjacency sets, and the outer
+        polygon's points with their pins, in pin order."""
         d = self.d
         ends = {x: frozenset((d.dart_node(x), d.dart_node(d.theta[x]))) for x in self.darts}
         twins = Counter(ends.values())  # each segment counts twice, once per dart
@@ -222,63 +193,73 @@ class _LayoutPlan:
                 for p in poly:
                     link(("star", face[0]), p)
         interior = [v for v in neighbors if v not in pinned]
-        return _solve_barycentric(interior, neighbors, pinned), mids
+        return _solve_barycentric(interior, neighbors, pinned), mids, neighbors, pinned
 
-    def _verify(self, pos, mids) -> bool:
+    def _verify(self, pos, mids, neighbors, pinned) -> bool:
+        """Audit the picture as a triangulation.  Sorting each point's
+        neighbours by direction gives the layout graph the rotation system
+        of the picture.  The audit accepts if that map is a sphere map, if
+        its faces are counterclockwise triangles plus the outer polygon,
+        walked in pin order and sitting at its pins, and if every map
+        node's darts leave it in the order of its stored rotation.  That is
+        enough: the layout is then a triangulated disk whose boundary goes
+        once around a convex polygon and whose triangles all keep their
+        orientation, so by a degree argument every point inside the polygon
+        is covered exactly once, and no two layout edges meet outside a
+        shared endpoint.  Every drawn segment is a layout edge."""
+        if any(pos[p] != at for p, at in pinned.items()):
+            return False
         d = self.d
-        # Orientation, collinearity and betweenness are invariant under a
-        # positive scale, so the audit runs exactly on integers.
+        # Orientation is invariant under a positive scale, so the audit
+        # runs exactly on integers.
         unit = math.lcm(*(c.denominator for p in pos.values() for c in p))
         pos = {k: (x.numerator * (unit // x.denominator), y.numerator * (unit // y.denominator))
                for k, (x, y) in pos.items()}
+        keys = list(neighbors)
+        ids = {p: i for i, p in enumerate(keys)}
+        clockwise: dict = {}
+        edges: dict = {}
+        rotation: dict = {}
+        for p, near in neighbors.items():
+            px, py = pos[p]
+            vecs = [((pos[q][0] - px, pos[q][1] - py), q) for q in near]
+            if any(v == (0, 0) for v, _ in vecs):
+                return False
+            dirs = sorted(vecs, key=ccw_key)
+            for (a, _), (b, _) in zip(dirs, dirs[1:]):
+                if a[0] * b[1] - a[1] * b[0] == 0 and a[0] * b[0] + a[1] * b[1] > 0:
+                    return False  # two neighbours in one direction
+            clockwise[p] = [q for _, q in reversed(dirs)]
+            i = ids[p]
+            ends = []
+            for q in clockwise[p]:
+                j = ids[q]
+                ends.append((edges.setdefault((min(i, j), max(i, j)), len(edges)), int(j < i)))
+            rotation[i] = tuple(ends)
         for n in self.comp:
             rot = d.rotation[n]
-            if len(rot) < 3:
-                continue
-            dirs = []
-            for x in rot:
-                px, py = pos[mids.get(x, d.dart_node(d.theta[x]))]
-                vx, vy = px - pos[n][0], py - pos[n][1]
-                if vx == 0 and vy == 0:
-                    return False
-                dirs.append(((vx, vy), x))
-            dirs_sorted = sorted(dirs, key=ccw_key)
-            for i in range(len(dirs_sorted) - 1):
-                a, b = dirs_sorted[i][0], dirs_sorted[i + 1][0]
-                if a[0] * b[1] - a[1] * b[0] == 0 and (a[0] * b[0] + a[1] * b[1]) > 0:
-                    return False  # equal directions
-            dirs_sorted.reverse()  # counterclockwise sort -> clockwise order
-            order = [x for _, x in dirs_sorted]
+            dart_to = {mids.get(x, d.dart_node(d.theta[x])): x for x in rot}
+            order = [dart_to[q] for q in clockwise[n] if q in dart_to]
             j = order.index(rot[0])
             if tuple(order[j:] + order[:j]) != rot:
                 return False
-        # drawn sub-segments must meet only at shared nodes
-        segs = []
-        seen = set()
-        for x in self.darts:
-            k2 = frozenset((x, d.theta[x]))
-            if k2 in seen:
-                continue
-            seen.add(k2)
-            a, b = min(k2), max(k2)
-            chain = [d.dart_node(a)]
-            if a in mids:
-                chain.append(mids[a])
-                if mids[b] != mids[a]:
-                    chain.append(mids[b])
-            chain.append(d.dart_node(b))
-            for i in range(len(chain) - 1):
-                segs.append((pos[chain[i]], pos[chain[i + 1]], (chain[i], chain[i + 1])))
-        for i in range(len(segs)):
-            for j in range(i + 1, len(segs)):
-                p1, p2, ids1 = segs[i]
-                q1, q2, ids2 = segs[j]
-                if p1 == p2 or q1 == q2:
-                    return False
-                share = bool(set(ids1) & set(ids2))
-                if _seg_intersect_badly(p1, p2, q1, q2, share):
-                    return False
-        return True
+        graph = Multigraph(tuple(range(len(keys))), tuple((e, uv) for uv, e in edges.items()))
+        tri = Drawing.crossing_free(graph, rotation, validate=False)
+        if tri.validate():
+            return False  # not a sphere map
+        rest = []
+        for f in tri.faces():
+            ring = [keys[tri.dart_node(x)] for x in f]
+            if len(ring) == 3:
+                (ax, ay), (bx, by), (cx, cy) = (pos[p] for p in ring)
+                if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) > 0:
+                    continue
+            rest.append(ring)
+        rim = list(pinned)
+        if len(rest) != 1 or rim[0] not in rest[0]:
+            return False
+        j = rest[0].index(rim[0])
+        return rest[0][j:] + rest[0][:j] == rim
 
 
 def _fmt(x: Fraction) -> str:
@@ -303,8 +284,8 @@ def render_svg(d: Drawing, size: int = 480) -> bytes:
             placed.append(({comp[0]: (Fraction(0), Fraction(0))}, {}, comp))
             continue
         plan = _LayoutPlan(d, comp)
-        pos, mids = plan.layout()
-        if not plan._verify(pos, mids):
+        pos, mids, neighbors, pinned = plan.layout()
+        if not plan._verify(pos, mids, neighbors, pinned):
             raise DegenerateLayout(f"the layout of component {comp[:4]} failed its audit")
         placed.append((pos, mids, comp))
 

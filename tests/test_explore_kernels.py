@@ -4,12 +4,12 @@
   against the induced subdrawing, and the 1-in-64 built cross-check.
 * The search screen, which decides k-odd-planarity of a routed edge from
   its dual path, checked on every proposal against the built candidate.
-* The SVG audit on integer coordinates, checked against the rational
-  version it replaced (kept below as the reference).
+* The SVG audit, which checks the layout as a triangulation, checked
+  against the pairwise segment test it replaced (kept below as the
+  reference): it accepts every layout and nothing that test rejects.
 """
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 
@@ -28,7 +28,7 @@ from oddplanar.surgery import (
     random_quadrangulation,
     route_edge,
 )
-from oddplanar.svg import _LayoutPlan, _seg_intersect_badly, render_svg
+from oddplanar.svg import _LayoutPlan, render_svg
 from fixtures import figure_eight, k5_one_crossing, lens_pair
 
 
@@ -247,48 +247,6 @@ def ref_verify(plan: _LayoutPlan, pos, mids) -> bool:
     return True
 
 
-def _segment_cases():
-    """Hand-picked collinear, touching, shared-endpoint and degenerate
-    cases, then random segments on a small grid (so coincidences are
-    common) and on rational points."""
-    P = lambda x, y: (Fraction(x), Fraction(y))  # noqa: E731
-    cases = [
-        (P(0, 0), P(2, 0), P(2, 0), P(3, 1)),  # touch at a box corner
-        (P(0, 0), P(2, 0), P(2, 0), P(4, 0)),  # collinear, end to end
-        (P(0, 0), P(2, 0), P(1, 0), P(3, 0)),  # collinear overlap
-        (P(0, 0), P(2, 0), P(3, 0), P(4, 0)),  # collinear, apart
-        (P(0, 0), P(2, 2), P(1, 1), P(1, 3)),  # T-junction
-        (P(0, 0), P(2, 2), P(0, 2), P(2, 0)),  # proper crossing
-        (P(0, 0), P(1, 0), P(0, 0), P(0, 1)),  # shared endpoint
-        (P(0, 0), P(2, 0), P(0, 0), P(1, 0)),  # shared endpoint, overlap
-        (P(1, 1), P(1, 1), P(0, 0), P(2, 2)),  # degenerate point on segment
-        (P(1, 1), P(1, 1), P(1, 1), P(1, 1)),  # two equal points
-        (P(5, 5), P(5, 5), P(0, 0), P(2, 2)),  # degenerate point off segment
-        (P(0, 0), P(1, 1), P(2, 2), P(3, 3)),  # collinear diagonal, apart
-        (P(0, 0), P(0, 2), P(0, 2), P(1, 5)),  # vertical, touching in y
-    ]
-    rng = random.Random(2024)
-    for _ in range(3000):
-        cases.append(tuple(P(rng.randrange(4), rng.randrange(4)) for _ in range(4)))
-    for _ in range(500):
-        cases.append(tuple((Fraction(rng.randrange(-9, 9), rng.randrange(1, 7)),
-                            Fraction(rng.randrange(-9, 9), rng.randrange(1, 7))) for _ in range(4)))
-    return cases
-
-
-def test_integer_segment_test_matches_rational_reference():
-    outcomes = set()
-    for p1, p2, q1, q2 in _segment_cases():
-        unit = math.lcm(*(c.denominator for c in (*p1, *p2, *q1, *q2)))
-        ints = [(int(x * unit), int(y * unit)) for x, y in (p1, p2, q1, q2)]
-        for share in (False, True):
-            want = ref_seg_intersect_badly(p1, p2, q1, q2, share)
-            assert _seg_intersect_badly(*ints, share) == want, (p1, p2, q1, q2, share)
-            assert _seg_intersect_badly(p1, p2, q1, q2, share) == want
-            outcomes.add(want)
-    assert outcomes == {False, True}
-
-
 def _render_corpus():
     return [
         k5_one_crossing(),
@@ -301,30 +259,70 @@ def _render_corpus():
     ]
 
 
-def test_integer_audit_matches_rational_reference(monkeypatch):
-    verdicts: list[bool] = []
-    mismatches: list = []
+def test_triangulation_audit_accepts_layouts_and_is_sound(monkeypatch):
+    """Every layout of the corpus passes the audit, and on broken variants
+    of them the audit accepts nothing that the pairwise segment test
+    rejects."""
+    unsound: list = []
+    rejected = 0
     real = _LayoutPlan._verify
     rng = random.Random(5)
 
-    def both(plan, pos, mids):
-        got = real(plan, pos, mids)
-        if got != ref_verify(plan, pos, mids):
-            mismatches.append(("layout", sorted(plan.comp)))
-        verdicts.append(got)
+    def both(plan, pos, mids, neighbors, pinned):
+        nonlocal rejected
+        assert real(plan, pos, mids, neighbors, pinned), sorted(plan.comp)
         # Broken variants of the same layout: a node moved onto another
         # node, and a node moved to a random rational point.
         keys = sorted(pos, key=repr)
         a, b = rng.sample(keys, 2)
         for moved in ({**pos, a: pos[b]}, {**pos, a: (Fraction(rng.randrange(-5, 6), 7), Fraction(1, 3))}):
-            v = real(plan, moved, mids)
-            if v != ref_verify(plan, moved, mids):
-                mismatches.append(("moved", sorted(plan.comp)))
-            verdicts.append(v)
-        return got
+            if not real(plan, moved, mids, neighbors, pinned):
+                rejected += 1
+            elif not ref_verify(plan, moved, mids):
+                unsound.append(sorted(plan.comp))
+        return True
 
     monkeypatch.setattr(_LayoutPlan, "_verify", both)
     for d in _render_corpus():
         render_svg(d)
-    assert not mismatches, mismatches[:3]
-    assert True in verdicts and False in verdicts
+    assert not unsound, unsound[:3]
+    assert rejected
+
+
+def _plans():
+    for d in _render_corpus():
+        d = d.canonicalize()
+        plan = _LayoutPlan(d, d.map_components()[0])
+        yield plan, plan.layout()
+
+
+def test_audit_rejects_a_mirrored_layout():
+    for plan, (pos, mids, neighbors, pinned) in _plans():
+        mirrored = {p: (-x, y) for p, (x, y) in pos.items()}
+        pins = {p: mirrored[p] for p in pinned}
+        assert not plan._verify(mirrored, mids, neighbors, pins), sorted(plan.comp)
+
+
+def test_audit_rejects_two_equal_points():
+    moved = 0
+    for plan, (pos, mids, neighbors, pinned) in _plans():
+        for a in sorted((p for p in pos if p not in pinned), key=repr)[:1]:
+            for b in pos:
+                if b != a:
+                    assert not plan._verify({**pos, a: pos[b]}, mids, neighbors, pinned), (a, b)
+                    moved += 1
+    assert moved
+
+
+def test_audit_rejects_a_star_or_corner_moved_out_of_its_face():
+    """Stars and corners carry no drawn segment, so moving one crosses
+    layout edges only: the pairwise segment test never saw that."""
+    moved = 0
+    for plan, (pos, mids, neighbors, pinned) in _plans():
+        for p in pos:
+            if isinstance(p, tuple) and p[0] in ("star", "corner") and p not in pinned:
+                out = {**pos, p: (Fraction(3), Fraction(3))}
+                assert ref_verify(plan, out, mids)
+                assert not plan._verify(out, mids, neighbors, pinned), p
+                moved += 1
+    assert moved
