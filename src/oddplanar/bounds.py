@@ -261,12 +261,14 @@ class SampleStats:
     law_violations: int
 
 
-def _mean_se(values: list[int]) -> tuple[Fraction, float]:
-    t = len(values)
-    mean = Fraction(sum(values), t)
+def _mean_se(total: int, squares: int, t: int) -> tuple[Fraction, float]:
+    """Mean and standard error of t values from their sum and sum of
+    squares.  The variance (t * squares - total^2) / (t (t - 1)) equals
+    sum((v - mean)^2) / (t - 1) exactly, so no value needs keeping."""
+    mean = Fraction(total, t)
     if t < 2:
         return mean, 0.0
-    var = sum((Fraction(v) - mean) ** 2 for v in values) / (t - 1)
+    var = Fraction(t * squares - total * total, t * (t - 1))
     return mean, float(var / t) ** 0.5
 
 
@@ -315,19 +317,19 @@ def sampling_experiment(d: Drawing, p, trials: int, seed: int) -> SampleStats:
     if seed < 0:
         # random.Random(s) seeds with abs(s), so seed + t would repeat subsets.
         raise ValueError("need seed >= 0")
-    ns: list[int] = []
-    ms: list[int] = []
-    xs: list[int] = []
+    sums = [0, 0, 0]
+    squares = [0, 0, 0]
     violations = 0
-    for n2, m2, x2 in _sample_counts(d, p, trials, seed):
-        ns.append(n2)
-        ms.append(m2)
-        xs.append(x2)
+    for counts in _sample_counts(d, p, trials, seed):
+        for i, v in enumerate(counts):
+            sums[i] += v
+            squares[i] += v * v
+        n2, m2, x2 = counts
         if x2 < 2 * m2 - 8 * n2:
             violations += 1
-    mean_n, se_n = _mean_se(ns)
-    mean_m, se_m = _mean_se(ms)
-    mean_x, se_x = _mean_se(xs)
+    (mean_n, se_n), (mean_m, se_m), (mean_x, se_x) = (
+        _mean_se(total, sq, trials) for total, sq in zip(sums, squares)
+    )
     return SampleStats(
         p=p,
         trials=trials,

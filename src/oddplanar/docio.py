@@ -19,7 +19,7 @@ from fractions import Fraction
 from .bounds import NOT_APPLICABLE, BoundReport, SampleStats
 from .drawing import CrossingStats, Drawing, validate_drawing
 from .graphs import Multigraph
-from .oracle import LowerBoundOnly, SearchResult
+from .oracle import SearchResult
 from .redraw import PipelineTrace
 
 DRAWING_FORMAT = "oddplanar-drawing/1"
@@ -288,6 +288,4 @@ def to_jsonable(obj):
             "report": to_jsonable(obj.report),
             "best": drawing_to_doc(obj.best),
         }
-    if isinstance(obj, LowerBoundOnly):
-        return {"lower_bound_only": obj.bound}
     raise TypeError(f"no JSON form for {type(obj).__name__}")

@@ -13,8 +13,11 @@ self-crossing preserves every pairwise crossing count exactly, so no
 minimum over drawings changes by ignoring them.
 
 Budgets count planarity tests for exact values and proposals for the
-search.  The candidate limit is enforced deterministically; the time
-limit is a safety net and should not be used to pin down results.
+search.  An exact value keeps one counter of planarity tests, checked at
+each test, so the candidate limit is enforced deterministically; the time
+limit, checked at the same point, is a safety net and should not be used
+to pin down results.  Counting spends no test, so even a zero candidate
+budget refutes every multiset smaller than the counting bound.
 """
 from __future__ import annotations
 
@@ -48,9 +51,12 @@ SEARCH_N_LIMIT = 2_000
 
 
 class BudgetExceeded(Exception):
-    """The candidate or time budget ran out.  ``lower_bound`` is set by
-    :func:`exact_crossing_value`: every smaller value is already refuted
-    within the crossing budget (None where nothing is proved)."""
+    """The candidate or time budget ran out at a planarity test.
+    ``lower_bound`` is set by :func:`exact_crossing_value` to the value
+    being tested: every smaller value is already refuted within the
+    crossing budget, by counting or by earlier tests.  Counting spends
+    no test, so even a zero candidate budget reports what counting alone
+    proves (None where nothing is proved)."""
 
     def __init__(self, message: str, lower_bound: int | None = None) -> None:
         super().__init__(message)
@@ -221,18 +227,19 @@ _VARIANTS = ("cr", "pcr", "ocr")
 _RULES = ("plus", "zero", "minus", "star")
 
 
-def _multiset_value(multiset, variant: str, rule: str, adjacent) -> tuple[bool, int]:
-    """(admissible, value) of any drawing realizing the multiset."""
+def _multiset_key(multiset, variant: str, rule: str, adjacent) -> tuple[int, int] | None:
+    """(value, adjacent crossings counted with multiplicity) of any drawing
+    realizing the multiset, or None if the rule does not admit it."""
     counts: dict[tuple[int, int], int] = {}
     for p in multiset:
         counts[p] = counts.get(p, 0) + 1
-    adj_present = {p for p in counts if adjacent(p)}
-    if rule == "plus" and adj_present:
-        return False, 0
-    if rule == "star" and any(counts[p] % 2 for p in adj_present):
-        return False, 0
+    adj = {p: c for p, c in counts.items() if adjacent(p)}
+    if rule == "plus" and adj:
+        return None
+    if rule == "star" and any(c % 2 for c in adj.values()):
+        return None
     if rule == "minus":
-        considered = {p: c for p, c in counts.items() if not adjacent(p)}
+        considered = {p: c for p, c in counts.items() if p not in adj}
     else:
         considered = counts
     if variant == "cr":
@@ -241,7 +248,7 @@ def _multiset_value(multiset, variant: str, rule: str, adjacent) -> tuple[bool, 
         val = len(considered)
     else:
         val = sum(1 for c in considered.values() if c % 2)
-    return True, val
+    return val, sum(adj.values())
 
 
 def _triangle_free(g: Multigraph) -> bool:
@@ -351,25 +358,6 @@ def _planarization_witness(g: Multigraph, multiset: tuple[tuple[int, int], ...],
     return None
 
 
-def _realizable(g: Multigraph, multiset, max_ticks: int) -> tuple[bool | None, int]:
-    """(found, ticks) where found is None if the tick budget ran out; one
-    tick per planarity test of :func:`_planarization_witness`."""
-    if len(multiset) < _counting_lower_bound(g):
-        return False, 0
-    ticks = 0
-
-    def tick():
-        nonlocal ticks
-        ticks += 1
-        if ticks > max_ticks:
-            raise BudgetExceeded("realizability tick budget")
-
-    try:
-        return _planarization_witness(g, multiset, tick) is not None, ticks
-    except BudgetExceeded:
-        return None, ticks
-
-
 def exact_crossing_value(
     g: Multigraph, variant: str, rule: str, budget: EnumerationBudget
 ):
@@ -399,28 +387,25 @@ def exact_crossing_value(
         raise ValueError("exact values are defined for simple graphs")
 
     start = time.monotonic()
-    remaining = budget.max_candidates
+    tests = 0
+    val = 0  # the value being tested, carried by BudgetExceeded
 
-    def realizable(multiset, val: int) -> bool:
-        nonlocal remaining
+    def tick():
+        nonlocal tests
+        tests += 1
         if time.monotonic() - start > budget.time_limit:
             raise BudgetExceeded("time budget exhausted", val)
-        if remaining <= 0:
+        if tests > budget.max_candidates:
             raise BudgetExceeded("candidate budget exhausted", val)
-        found, used = _realizable(g, multiset, remaining)
-        remaining -= used
-        if found is None:
-            raise BudgetExceeded("candidate budget exhausted", val)
-        return found
 
+    # Multisets smaller than the counting bound are refuted without a test.
     # The empty multiset would sort first with value 0 under every variant
-    # and rule, so a planar verdict needs no candidate list.
-    if realizable((), 0):
+    # and rule, so a planar verdict needs no candidate list; the m^2 edge
+    # pairs are listed only if some size survives.
+    bound = _counting_lower_bound(g)
+    if bound == 0 and _planarization_witness(g, (), tick) is not None:
         return 0
-
-    # Smaller multisets are refuted by counting alone, without a test; the
-    # m^2 edge pairs are listed only if some size survives.
-    low = max(1, _counting_lower_bound(g))
+    low = max(1, bound)
     if low > budget.max_crossings:
         return LowerBoundOnly(budget.max_crossings + 1)
     count = 0
@@ -428,20 +413,19 @@ def exact_crossing_value(
         count += comb(comb(g.m, 2) + size - 1, size)
         if count > MULTISET_LIMIT:
             raise ValueError(f"at least {count} crossing multisets to list, above the limit of {MULTISET_LIMIT}")
-    pairs = sorted(combinations(sorted(g.edge_ids()), 2))
+    pairs = list(combinations(g.edge_ids(), 2))
     adjacent = frozenset(p for p in pairs if g.adjacent(*p)).__contains__
     candidates: list[tuple[int, int, tuple]] = []
     for size in range(low, budget.max_crossings + 1):
         for multiset in combinations_with_replacement(pairs, size):
-            ok, val = _multiset_value(multiset, variant, rule, adjacent)
-            if ok:
-                adj_count = sum(1 for p in multiset if adjacent(p))
-                candidates.append((val, adj_count, multiset))
+            key = _multiset_key(multiset, variant, rule, adjacent)
+            if key is not None:
+                candidates.append((*key, multiset))
     # Equal-value multisets with fewer adjacent crossings first: witnesses
     # tend to be independent, and failed sweeps are the expensive part.
     candidates.sort()
     for val, _, multiset in candidates:
-        if realizable(multiset, val):
+        if _planarization_witness(g, multiset, tick) is not None:
             return val
     return LowerBoundOnly(budget.max_crossings + 1)
 

@@ -2,6 +2,8 @@
 
 * Sampling counts (n', m', x') from endpoint sets, checked on every trial
   against the induced subdrawing, and the 1-in-64 built cross-check.
+* Sampling statistics from running sums, checked against the per-trial
+  lists they replaced (kept below as the reference).
 * The search screen, which decides k-odd-planarity of a routed edge from
   its dual path, checked on every proposal against the built candidate.
 * The SVG audit, which checks the layout as a triangulation, checked
@@ -11,11 +13,13 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from oddplanar import complete_graph, oracle, svg
+from oddplanar import bounds, complete_graph, oracle, svg
 from oddplanar.bounds import _sample_counts, sampling_experiment
 from oddplanar.drawing import Drawing
 from oddplanar.oracle import EnumerationBudget, extremal_search, perturb_even, random_drawing
@@ -104,6 +108,42 @@ def test_sampling_cross_check_catches_a_wrong_count(monkeypatch):
     monkeypatch.setattr(Drawing, "induced_subdrawing", lambda self, vs: lens_pair())
     with pytest.raises(AssertionError, match="sample counts"):
         sampling_experiment(d, Fraction(1, 2), 1, 0)
+
+
+def reference_mean_se(values: list[int]) -> tuple[Fraction, float]:
+    """Mean and standard error from the list of per-trial values."""
+    t = len(values)
+    mean = Fraction(sum(values), t)
+    if t < 2:
+        return mean, 0.0
+    var = sum((Fraction(v) - mean) ** 2 for v in values) / (t - 1)
+    return mean, float(var / t) ** 0.5
+
+
+@pytest.mark.parametrize("name", ["convex", "perturbed-even", "lens"])
+@pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(3, 4), Fraction(1)])
+@pytest.mark.parametrize("trials", [1, 2, 130])
+def test_running_sums_give_the_list_based_statistics(name, p, trials):
+    d = SAMPLE_DRAWINGS[name]()
+    columns = zip(*_sample_counts(d, p, trials, 5))
+    (mean_n, se_n), (mean_m, se_m), (mean_x, se_x) = (reference_mean_se(list(c)) for c in columns)
+    stats = sampling_experiment(d, p, trials, 5)
+    expected = replace(stats, mean_n=mean_n, se_n=se_n, mean_m=mean_m, se_m=se_m, mean_x=mean_x, se_x=se_x)
+    assert stats == expected
+
+
+def test_sampling_memory_does_not_grow_with_trials(monkeypatch):
+    # per-trial lists of 300,000 counts would hold about 7 MB
+    trials = 300_000
+    monkeypatch.setattr(bounds, "_sample_counts", lambda d, p, t, seed: ((5, 7, 3) for _ in range(t)))
+    tracemalloc.start()
+    try:
+        stats = sampling_experiment(lens_pair(), Fraction(1, 2), trials, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (stats.mean_n, stats.mean_m, stats.mean_x, stats.se_m) == (5, 7, 3, 0.0)
+    assert peak < 1_000_000
 
 
 # ---------------------------------------------------------------------------

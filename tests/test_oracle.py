@@ -14,7 +14,7 @@ from oddplanar.oracle import (
     BudgetExceeded,
     EnumerationBudget,
     LowerBoundOnly,
-    _realizable,
+    _planarization_witness,
     exact_crossing_value,
     extremal_search,
     perturb_even,
@@ -180,9 +180,14 @@ def test_planar_verdict_is_exact_without_enumeration():
     k33 = complete_bipartite(3, 3)
     # K3,3 with edge 0 subdivided by a new vertex 6
     g = Multigraph(tuple(range(7)), k33.edges[1:] + ((0, (0, 6)), (9, (6, 3))))
-    assert _realizable(g, (), 10**6) == (False, 1)
+    ticks = []
+    assert _planarization_witness(g, (), lambda: ticks.append(1)) is None
+    assert len(ticks) == 1
     assert exact_crossing_value(g, "cr", "zero", SMALL) == 1
-    assert _realizable(random_planar_drawing(12, 1, deletions=3).graph, (), 10**6) == (True, 1)
+    ticks = []
+    planar = random_planar_drawing(12, 1, deletions=3).graph
+    assert _planarization_witness(planar, (), lambda: ticks.append(1)) is not None
+    assert len(ticks) == 1
 
 
 def test_budget_exhaustion_carries_the_refuted_range():
@@ -192,11 +197,37 @@ def test_budget_exhaustion_carries_the_refuted_range():
     with pytest.raises(BudgetExceeded) as info:
         exact_crossing_value(k5, "pcr", "minus", EnumerationBudget(1, 30, 60.0))
     assert info.value.lower_bound == 1
-    # with no budget at all nothing is proved
-    for g in (k5, cycle_graph(4)):
+    # with no budget at all only counting proves anything: it refutes
+    # value 0 for K5 without a test, and nothing for the planar C4
+    for g, proved in ((k5, 1), (cycle_graph(4), 0)):
         with pytest.raises(BudgetExceeded) as info:
             exact_crossing_value(g, "cr", "zero", EnumerationBudget(1, 0, 60.0))
-        assert info.value.lower_bound == 0
+        assert info.value.lower_bound == proved
+
+
+def test_candidate_budget_allows_exactly_that_many_planarity_tests(monkeypatch):
+    from oddplanar import oracle
+
+    k5 = complete_graph(5)
+    tests = 0
+    real = oracle._planarization_witness
+
+    def counted(g, multiset, tick):
+        def counting_tick():
+            nonlocal tests
+            tests += 1
+            tick()
+
+        return real(g, multiset, counting_tick)
+
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_planarization_witness", counted)
+        assert exact_crossing_value(k5, "pcr", "minus", EnumerationBudget(1, 10**6, 60.0)) == 1
+    assert tests > 30  # the 30 adjacent multisets of value 0, then value 1
+    assert exact_crossing_value(k5, "pcr", "minus", EnumerationBudget(1, tests, 60.0)) == 1
+    with pytest.raises(BudgetExceeded) as info:
+        exact_crossing_value(k5, "pcr", "minus", EnumerationBudget(1, tests - 1, 60.0))
+    assert info.value.lower_bound == 1
 
 
 def test_sizes_below_the_counting_bound_list_no_edge_pairs():

@@ -12,9 +12,10 @@ import pytest
 from oddplanar import complete_bipartite, complete_graph, cycle_graph
 from oddplanar.graphs import Multigraph
 from oddplanar.oracle import (
+    BudgetExceeded,
     EnumerationBudget,
+    _counting_lower_bound,
     _planarization_witness,
-    _realizable,
     exact_crossing_value,
 )
 
@@ -82,15 +83,32 @@ def test_planarity_verdict_matches_rotation_enumeration_on_random_graphs():
     assert sum(assert_verdicts_agree(g, 1) for g in graphs) > 0
 
 
+def witness_and_ticks(g: Multigraph, ms) -> tuple:
+    ticks = []
+    d = _planarization_witness(g, ms, lambda: ticks.append(1))
+    return d, len(ticks)
+
+
 def test_budget_counts_one_tick_per_choice_of_crossing_orders():
     k4 = complete_graph(4)
     # no crossing and a single crossing: one planarization each
-    assert _realizable(K5, (), 10) == (False, 0)  # refuted by counting
-    assert _realizable(k4, (), 10) == (True, 1)
-    assert _realizable(K5, ((0, 1),), 10) == (False, 1)
+    assert _counting_lower_bound(K5) == 1  # the empty multiset is refuted by counting
+    d, ticks = witness_and_ticks(k4, ())
+    assert d is not None and ticks == 1
+    assert witness_and_ticks(K5, ((0, 1),)) == (None, 1)
     # two crossings on edge 0: 2 orders on it, 1 on the others
-    assert _realizable(K5, ((0, 1), (0, 2)), 10) == (False, 2)
-    assert _realizable(K5, ((0, 1), (0, 2)), 1) == (None, 2)
+    assert witness_and_ticks(K5, ((0, 1), (0, 2))) == (None, 2)
+    # a tick that refuses its second call stops the witness there
+    ticks = []
+
+    def refusing():
+        ticks.append(1)
+        if len(ticks) > 1:
+            raise BudgetExceeded("refused")
+
+    with pytest.raises(BudgetExceeded):
+        _planarization_witness(K5, ((0, 1), (0, 2)), refusing)
+    assert len(ticks) == 2
 
 
 def test_one_drawing_per_positive_verdict(monkeypatch):
@@ -108,12 +126,6 @@ def test_one_drawing_per_positive_verdict(monkeypatch):
     # 30 refuted adjacent multisets, then the first independent one
     assert exact_crossing_value(K5, "pcr", "minus", budget) == 1
     assert len(built) == 1
-
-
-def witness_and_ticks(g: Multigraph, ms) -> tuple:
-    ticks = []
-    d = _planarization_witness(g, ms, lambda: ticks.append(1))
-    return d, len(ticks)
 
 
 @pytest.mark.parametrize("g", [complete_graph(4), K5, complete_bipartite(3, 3)], ids=["K4", "K5", "K3,3"])
@@ -144,5 +156,6 @@ def test_repeated_crossing_pairs_are_tested_once_per_labelling(g, monkeypatch):
 
 def test_repeated_pair_orders_are_distinct_choices():
     # (e: 0,1; f: 0,1) and (e: 1,0; f: 1,0) name one planarization
-    assert _realizable(K5, ((0, 1), (0, 1)), 100) == (False, 2)
-    assert _realizable(complete_graph(4), ((0, 1), (0, 1)), 100) == (True, 1)
+    assert witness_and_ticks(K5, ((0, 1), (0, 1))) == (None, 2)
+    d, ticks = witness_and_ticks(complete_graph(4), ((0, 1), (0, 1)))
+    assert d is not None and ticks == 1
