@@ -31,6 +31,7 @@ Two conventions are load-bearing everywhere:
 """
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -99,6 +100,7 @@ class Drawing:
         "theta",
         "edge_paths",
         "_dart_node",
+        "_top",
         "_canon",
         "_pair_counts",
         "_self_counts",
@@ -107,6 +109,7 @@ class Drawing:
         "_passes",
         "_routes",
         "_faces",
+        "_face_source",
         "_face_of",
         "_segments",
     )
@@ -121,14 +124,16 @@ class Drawing:
         rotation = {n: tuple(r) for n, r in rotation.items()}
         self._adopt(graph, rotation, dict(theta), {e: tuple(p) for e, p in edge_paths.items()})
 
-    def _adopt(self, graph, rotation, theta, edge_paths) -> None:
+    def _adopt(self, graph, rotation, theta, edge_paths, dart_node=None, top=None) -> None:
         """Take the given containers as they are, without copying, and
-        leave every derived view to be computed on first use."""
+        leave every derived view to be computed on first use.  ``top``
+        bounds the dart ids from above."""
         self.graph = graph
         self.rotation = rotation
         self.theta = theta
         self.edge_paths = edge_paths
-        self._dart_node = {d: node for node, rot in rotation.items() for d in rot}
+        self._dart_node = dart_node if dart_node is not None else {d: n for n, rot in rotation.items() for d in rot}
+        self._top = max(theta, default=-1) if top is None else top
         self._canon = None
         self._pair_counts = None
         self._self_counts = None
@@ -137,6 +142,7 @@ class Drawing:
         self._passes = None
         self._routes = None
         self._faces = None
+        self._face_source = None
         self._face_of = None
         self._segments = None
 
@@ -226,17 +232,12 @@ class Drawing:
         spin_of: dict[int, bool] = {}
         for key, occ in occurrences.items():
             c = node_of_key[key]
-            (e1, p1), (e2, p2) = passes[c] = tuple(occ)
-            a_in, a_out = edge_paths[e1][2 * p1 + 1 : 2 * p1 + 3]
-            b_in, b_out = edge_paths[e2][2 * p2 + 1 : 2 * p2 + 3]
+            passes[c] = tuple(occ)
             spin_of[c] = bool(spins[key])
-            if spin_of[c]:
-                rotation[c] = (a_in, b_in, a_out, b_out)
-            else:
-                rotation[c] = (a_in, b_out, a_out, b_in)
+            rotation[c] = _crossing(edge_paths, passes[c], spin_of[c])
 
         d = cls.__new__(cls)
-        d._adopt(graph, rotation, theta, edge_paths)
+        d._adopt(graph, rotation, theta, edge_paths, top=first - 1)
         d._segments = MappingProxyType(segments)
         d._passes = passes
         d._routes = (MappingProxyType(vrot), MappingProxyType(node_routes), MappingProxyType(spin_of))
@@ -268,16 +269,9 @@ class Drawing:
     def dart_node(self, d: int) -> int:
         return self._dart_node[d]
 
-    def _endings(self, darts: Iterable[int]) -> tuple[Ending, ...]:
-        """The edge endings of darts at real vertices.  Such a dart starts
-        its edge's path (segment 0, forward: end 0) or ends it (last
-        segment, backward: end 1), so the segment map names its ending."""
-        seg = self.segment_of_dart()
-        return tuple([(seg[x][0], 0 if seg[x][2] else 1) for x in darts])
-
     def vertex_endings(self, v: int) -> tuple[Ending, ...]:
         """Clockwise cyclic order of edge endings at a real vertex."""
-        return _norm_cyclic(self._endings(self.rotation[v]))
+        return _norm_cyclic(_endings(self.segment_of_dart(), self.rotation[v]))
 
     def rotation_system(self) -> dict[int, tuple[Ending, ...]]:
         return {v: self.vertex_endings(v) for v in self.graph.vertices}
@@ -317,7 +311,8 @@ class Drawing:
         i names the corner before dart ``rotation[v][i]``.  Cached and
         read-only."""
         if self._routes is None:
-            vrot = {v: self._endings(self.rotation[v]) for v in self.graph.vertices}
+            seg = self.segment_of_dart()
+            vrot = {v: _endings(seg, self.rotation[v]) for v in self.graph.vertices}
             routes = {e: self.edge_route(e) for e in self.graph.edge_ids()}
             spins = {c: self.crossing_spin(c) for c in self.crossing_nodes()}
             self._routes = (MappingProxyType(vrot), MappingProxyType(routes), MappingProxyType(spins))
@@ -330,7 +325,15 @@ class Drawing:
     def faces(self) -> tuple[tuple[int, ...], ...]:
         """Face boundaries as dart cycles of ``sigma . theta``, each walked
         with the face on its left.  Every face starts at its least dart and
-        the faces come in that order, so the tuple is sorted.  Cached."""
+        the faces come in that order, so the tuple is sorted.  Cached, and
+        carried through surgery and :meth:`remove_edges`."""
+        if self._faces is None and self._face_source is not None:
+            # remove_edges' parent and dropped darts: its faces through
+            # them merge, on first use.
+            (parent, gone), self._face_source = self._face_source, None
+            faces = list(parent._faces)
+            _reface(faces, parent, gone, (self.rotation, self.theta, self._dart_node))
+            self._faces = tuple(faces)
         if self._faces is None:
             succ: dict[int, int] = {}
             for rot in self.rotation.values():
@@ -355,8 +358,11 @@ class Drawing:
 
     def face_of_dart(self) -> Mapping[int, int]:
         """dart -> index in :meth:`faces` of the face it bounds.  Cached
-        and read-only."""
-        self.faces()
+        and read-only; read off carried faces in one pass."""
+        if self._face_of is None:
+            faces = self.faces()  # a full trace fills the map as it goes
+            if self._face_of is None:
+                self._face_of = MappingProxyType({x: i for i, f in enumerate(faces) for x in f})
         return self._face_of
 
     def segment_of_dart(self) -> Mapping[int, tuple[int, int, bool]]:
@@ -600,8 +606,9 @@ class Drawing:
         the faces, face starts and rotation starts come in the order that
         canonical renumbering would give.  Only the rotations at the
         removed edges' endpoints are re-normalized.  The route view (node
-        ids unchanged) and any crossing counts already computed are carried
-        over."""
+        ids unchanged) and the passes are carried over, and so are the
+        crossing counts, odd degrees and faces already computed; the faces
+        through a dropped dart merge and are traced on first read."""
         removed = set(edge_set)
         if not removed:
             return self
@@ -611,8 +618,9 @@ class Drawing:
         dead = {c for e in removed for c in routes[e]}
         rotation = dict(self.rotation)
         theta = dict(self.theta)
+        node = dict(self._dart_node)
         edge_paths = dict(self.edge_paths)
-        new_routes = dict(routes)
+        new_routes = routes.copy()
         gone: set[int] = set()
         ends: set[int] = set()
         for e in removed:
@@ -644,14 +652,17 @@ class Drawing:
             edge_paths[e] = tuple(path)
             new_routes[e] = tuple(kept)
         for x in gone:
-            del theta[x]
-        new_vrot = dict(vrot)
+            del theta[x], node[x]
+        new_vrot = vrot.copy()
+        seg = self.segment_of_dart()
         for v in ends:
             rot = rotation[v] = _norm_cyclic(tuple(x for x in rotation[v] if x not in gone))
-            new_vrot[v] = self._endings(rot)
+            new_vrot[v] = _endings(seg, rot)
 
         d = Drawing.__new__(Drawing)
-        d._adopt(graph, rotation, theta, edge_paths)
+        d._adopt(graph, rotation, theta, edge_paths, node, self._top)
+        d._passes = {c: p for c, p in passes.items() if c not in dead}
+        _repass(d._passes, new_routes, touched - removed)
         d._routes = (
             MappingProxyType(new_vrot),
             MappingProxyType(new_routes),
@@ -662,6 +673,15 @@ class Drawing:
                 k: n for k, n in self._pair_counts.items() if k[0] not in removed and k[1] not in removed
             }
             d._self_counts = {e: n for e, n in self._self_counts.items() if e not in removed}
+        if self._odd_deg is not None:
+            odd = d._odd_deg = dict(self._odd_deg)
+            for e in removed:
+                odd.pop(e, None)
+            for e1, e2 in {(p[0][0], p[1][0]) for p in map(passes.get, dead)}:
+                if e1 != e2 and self._pair_counts[e1, e2] % 2:
+                    _bump(odd, {e1, e2} - removed, -1)
+        if self._faces is not None:
+            d._face_source = (self, gone)
         return d
 
     def induced_subdrawing(self, vertex_set: Iterable[int]) -> "Drawing":
@@ -730,6 +750,77 @@ class Drawing:
             f"Drawing(n={self.graph.n}, m={self.graph.m}, "
             f"crossings={len(self.crossing_nodes())})"
         )
+
+
+def _endings(seg: Mapping[int, tuple[int, int, bool]], darts: Iterable[int]) -> tuple[Ending, ...]:
+    """The edge endings of darts at real vertices.  Such a dart starts its
+    edge's path (segment 0, forward: end 0) or ends it (last segment,
+    backward: end 1), so the segment map names its ending."""
+    return tuple([(seg[x][0], 0 if seg[x][2] else 1) for x in darts])
+
+
+def _crossing(paths, passes, s: bool) -> tuple[int, int, int, int]:
+    """Clockwise rotation of a crossing with sorted passes and spin s,
+    starting at the first pass's in-dart."""
+    (e1, p1), (e2, p2) = passes
+    a_in, a_out = paths[e1][2 * p1 + 1 : 2 * p1 + 3]
+    b_in, b_out = paths[e2][2 * p2 + 1 : 2 * p2 + 3]
+    return (a_in, b_in, a_out, b_out) if s else (a_in, b_out, a_out, b_in)
+
+
+def _repass(passes: dict, routes, touched) -> None:
+    """Give every crossing on a touched edge its passes again from the
+    routes; passes along other edges stay as they are."""
+    acc: dict[int, list[tuple[int, int]]] = {}
+    for e in sorted(touched):
+        for pos, c in enumerate(routes[e]):
+            acc.setdefault(c, []).append((e, pos))
+    for c, ps in acc.items():
+        passes[c] = tuple(sorted(ps + [p for p in passes.get(c, ()) if p[0] not in touched]))
+
+
+def _bump(odd: dict[int, int], edges, step: int) -> None:
+    """Add ``step`` to the odd degree of each edge; zeros are not kept."""
+    for e in edges:
+        odd[e] = odd.get(e, 0) + step
+        if not odd[e]:
+            del odd[e]
+
+
+def _walk(rotation, theta, node, x: int) -> list[int]:
+    """The face cycle of ``sigma . theta`` through dart x, from x."""
+    face = [x]
+    for _ in theta:
+        y = theta[face[-1]]
+        rot = rotation[node[y]]
+        y = rot[(rot.index(y) + 1) % len(rot)]
+        if y == x:
+            return face
+        face.append(y)
+    raise ValueError(f"the face walk from dart {x} does not close")
+
+
+def _reface(faces: list, d: Drawing, seeds, edited, starts=None) -> None:
+    """Replace in ``faces`` (``d``'s faces in order, ids maybe renamed)
+    each face of ``d`` through a seed dart, found by its least dart, with
+    the faces of the ``edited`` map (rotation, theta, node) through the
+    ``starts`` darts, by default the replaced faces' darts but the seeds."""
+    stale: set[int] = set()
+    dirty = []
+    for x in seeds:
+        if x not in stale:
+            cycle = _walk(d.rotation, d.theta, d._dart_node, x)
+            stale.update(cycle)
+            dirty.append(bisect_left(d._faces, (min(cycle),)))
+    for i in sorted(dirty, reverse=True):
+        del faces[i]
+    seen: set[int] = set()
+    for x in stale.difference(seeds) if starts is None else starts:
+        if x not in seen:
+            cycle = _walk(*edited, x)
+            seen.update(cycle)
+            i = cycle.index(min(cycle))
+            insort(faces, tuple(cycle[i:] + cycle[:i]))  # from its least dart
 
 
 def merge_disjoint(drawings: list[Drawing]) -> Drawing:

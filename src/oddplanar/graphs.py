@@ -96,6 +96,20 @@ class Multigraph:
         object.__setattr__(g, "_eids", tuple(ends))
         return g
 
+    def _plus(self, vertices: tuple[int, ...], edges: tuple[tuple[int, tuple[int, int]], ...]) -> "Multigraph":
+        """This graph plus new vertices and checked edges, each in id order:
+        appended as they are when above every old id, else rebuilt."""
+        vs, es = self.vertices + vertices, self.edges + edges
+        if (vertices and self.vertices and vertices[0] <= self.vertices[-1]) or (
+                edges and self.edges and edges[0][0] <= self.edges[-1][0]):
+            return Multigraph(vs, es)
+        g = object.__new__(Multigraph)
+        object.__setattr__(g, "vertices", vs)
+        object.__setattr__(g, "edges", es)
+        object.__setattr__(g, "_ends", {**self._ends, **dict(edges)})
+        object.__setattr__(g, "_eids", self._eids + tuple(e for e, _ in edges))
+        return g
+
     def components(self) -> list[tuple[int, ...]]:
         """Connected components as sorted vertex tuples, in id order."""
         return connected_components(self.vertices, (uv for _, uv in self.edges))

@@ -13,51 +13,176 @@ so "insert before dart d" places a new ending into exactly that corner.
 Every new crossing gets its stored bit from :func:`drawing.spin`: each
 move works out which side one edge, taken end0->end1, passes the other
 from, and ``spin`` turns that side into the stored bit.
+
+The three edits check their arguments (a malformed one is a ValueError)
+and patch copies of the map through one kernel, ``_splice``: new darts
+and crossings take the ids a canonical rebuild would give them, later
+ids move up, and every view of the input, faces included, is carried.
 """
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from types import MappingProxyType
 
-from .drawing import Drawing, Ending, spin
+from .drawing import Drawing, Ending, _bump, _crossing, _endings, _norm_cyclic, _reface, _repass, spin
 from .graphs import Multigraph
+
+
+def _splice(d: Drawing, vertex, edges, ends, routes, splices, spins) -> Drawing:
+    """The one surgery kernel: a new vertex, new edges ``(id, (u, v))``
+    in id order and new crossings spliced into copies of the map.  ``ends``
+    maps each new ending to the dart it goes before (None: at a vertex
+    without darts, listed clockwise); ``routes`` (new edge -> keys) and
+    ``splices`` ((edge, segment) -> keys) list new crossings in travel
+    order, ``spins`` their bits.  The caller checks the arguments.  Only
+    the faces through an edited corner or split segment are traced."""
+    new_v = () if vertex is None else (vertex,)
+    graph = d.graph._plus(new_v, tuple(edges)) if edges or new_v else d.graph
+    old, rot0, theta0, node0 = d.edge_paths, d.rotation, d.theta, d._dart_node
+    vrot, routes0, spins0 = d.route_view()
+    passes0, faces0, seg0 = d.crossing_passes(), d.faces(), d.segment_of_dart()
+
+    # Each slot of new darts goes right after an anchor dart: a new edge
+    # after the last dart of the edge before it, a splice after the
+    # forward dart of its segment.  Old darts move up past lower slots.
+    eids, slots = d.graph.edge_ids(), []
+    for e, _ in edges:
+        i = bisect_left(eids, e)
+        slots.append((old[eids[i - 1]][-1] if i else min(theta0, default=0) - 1, e, 2 * len(routes[e]) + 2))
+    slots += [(old[g][2 * q], (g, q), 2 * len(keys)) for (g, q), keys in splices.items()]
+    anchors, made, ins = [], {}, {}
+    for a, slot, size in sorted(slots):
+        made[slot] = range(a + len(anchors) + 1, a + len(anchors) + 1 + size)
+        anchors += [a] * size
+    dm = {}  # old dart -> its new id, for the darts that move
+    if anchors and anchors[0] < d._top:
+        dm = {x: x + bisect_left(anchors, x) for x in theta0 if x > anchors[0]}
+    dget = dm.get
+
+    # Crossing nodes are renumbered above the vertices in least-dart
+    # order, only when new ones come or a new vertex reaches their ids.
+    for slot, keys in {**routes, **splices}.items():
+        k = 0 if isinstance(slot, tuple) else 1
+        for j, key in enumerate(keys):
+            ins.setdefault(key, []).append(made[slot][k + 2 * j : k + 2 * j + 2])  # (in, out)
+    nm, node_of = {}, {}
+    if ins or (new_v and spins0 and next(iter(spins0)) <= vertex):
+        least = [(dget(x, x), True, c) for c in spins0 for x in [min(rot0[c])]]
+        least += [(min(p[0] for p in ps), False, key) for key, ps in ins.items()]
+        for i, (_, was, c) in enumerate(sorted(least), graph.vertices[-1] + 1):
+            (nm if was else node_of)[c] = i
+        nm = {c: n for c, n in nm.items() if n != c}
+    nget = nm.get
+
+    def darts(t):  # t with its darts renamed; t itself when none moves
+        return t if dm.keys().isdisjoint(t) else tuple(map(dget, t, t))
+
+    if dm or nm:
+        rotation = {nget(n, n): darts(r) for n, r in rot0.items()}
+        theta = {dget(x, x): dget(y, y) for x, y in theta0.items()}
+        paths = {e: darts(p) for e, p in old.items()}
+        node = {dget(x, x): nget(n, n) for x, n in node0.items()}
+        seg = {dget(x, x): s for x, s in seg0.items()}
+        new_routes = {e: r if nm.keys().isdisjoint(r) else tuple(map(nget, r, r)) for e, r in routes0.items()}
+        new_spins = {nget(c, c): s for c, s in spins0.items()}
+        passes = {nget(c, c): p for c, p in passes0.items()}
+        faces = [darts(f) for f in faces0]
+    else:  # a read-only proxy copies fast only by its copy()
+        rotation, theta, paths, node, seg = dict(rot0), dict(theta0), dict(old), dict(node0), seg0.copy()
+        new_routes, new_spins, passes, faces = routes0.copy(), spins0.copy(), dict(passes0), list(faces0)
+    vrot = vrot.copy()
+
+    # New darts: paths, nodes, involution, segments, routes and passes.
+    for (g, q), r in sorted((s, made[s]) for s in splices)[::-1]:
+        paths[g] = paths[g][: 2 * q + 1] + tuple(r) + paths[g][2 * q + 1 :]
+    for e, (u, v) in edges:
+        paths[e] = tuple(made[e])
+        node[made[e][0]], node[made[e][-1]] = u, v
+    for key, ps in ins.items():
+        for x, y in ps:
+            node[x] = node[y] = node_of[key]
+    touched = {g for g, _ in splices} | {e for e, _ in edges}
+    for e in sorted(touched):
+        p = paths[e]
+        for q in range(0, len(p), 2):
+            theta[p[q]], theta[p[q + 1]] = p[q + 1], p[q]
+            seg[p[q]], seg[p[q + 1]] = (e, q // 2, True), (e, q // 2, False)
+        new_routes[e] = tuple([node[x] for x in p[1:-1:2]])
+    _repass(passes, new_routes, touched)
+    for key, c in node_of.items():
+        new_spins[c] = bool(spins[key])
+        rotation[c] = _crossing(paths, passes[c], new_spins[c])
+
+    # New endings at their vertices, then the faces they split.
+    rotation.update(dict.fromkeys(new_v, ()))
+    at = set(new_v)
+    for (e, end), corner in ends.items():
+        t = made[e][-end]
+        r = rotation[node[t]]
+        j = len(r) if corner is None else r.index(dget(corner, corner))
+        rotation[node[t]] = r[:j] + (t,) + r[j:]
+        at.add(node[t])
+    for x in at:
+        rotation[x] = _norm_cyclic(rotation[x])
+        vrot[x] = _endings(seg, rotation[x])
+    seeds = [c for c in ends.values() if c is not None] + [x for g, q in splices for x in old[g][2 * q : 2 * q + 2]]
+    # Every face left where an old face was split or merged runs
+    # through a new dart, so the new darts reach them all.
+    new = [x for r in made.values() for x in r]
+    _reface(faces, d, seeds, (rotation, theta, node), new)
+
+    # The views and paths in id order, as a rebuild lists them; appends
+    # keep it so.  (No reader depends on the order of the map's dicts.)
+    if dm or nm or (new_v and vertex != graph.vertices[-1]):
+        paths, seg, vrot, new_routes, new_spins, passes = (
+            {k: m[k] for k in sorted(m)} for m in (paths, seg, vrot, new_routes, new_spins, passes)
+        )
+    out = Drawing.__new__(Drawing)
+    out._adopt(graph, rotation, theta, paths, node, d._top + bisect_right(anchors, d._top))
+    out._segments, out._passes, out._faces = MappingProxyType(seg), passes, tuple(faces)
+    out._routes = (MappingProxyType(vrot), MappingProxyType(new_routes), MappingProxyType(new_spins))
+    (out._pair_counts, out._self_counts), out._odd_deg = d._counts(), d._odd_degrees()
+    if node_of:
+        # Counted again in crossing order; a pair's odd degrees change
+        # where its count changes parity.
+        out._pair_counts, odd = None, dict(out._odd_deg)
+        pairs = out._counts()[0]
+        for e1, e2 in {(passes[c][0][0], passes[c][1][0]) for c in node_of.values()}:
+            if e1 != e2 and (pairs[e1, e2] - d._pair_counts.get((e1, e2), 0)) % 2:
+                _bump(odd, (e1, e2), 1 if pairs[e1, e2] % 2 else -1)
+        out._odd_deg = odd
+    return out
 
 
 def insert_vertex_in_face(d: Drawing, face: tuple[int, ...], corner_positions: list[int],
                           new_vid: int, first_eid: int) -> Drawing:
     """Place a new vertex inside the face and join it, crossing-free, to
     the real vertices at the chosen face corners.  New edges are numbered
-    from ``first_eid`` in ascending corner order and run (corner, new)."""
-    if new_vid in d.graph.vertices:
+    from ``first_eid`` in ascending corner order and run (corner, new).
+    The face splits into one face per corner; ids and carried views
+    follow the splice contract above."""
+    vrot = d.route_view()[0]
+    if new_vid in vrot:
         raise ValueError(f"vertex id {new_vid} already in use")
-    vrot, routes, spins = d.route_view()
-    vrot, routes = dict(vrot), dict(routes)
-    corner_nodes = []
-    for i in corner_positions:
-        x = d.dart_node(face[i])
-        if x not in vrot:
-            raise ValueError("face corner is not a real vertex")
-        corner_nodes.append(x)
-    if len(set(corner_nodes)) != len(corner_nodes):
+    face, faces = tuple(face), d.faces()
+    i = bisect_left(faces, (min(face),)) if face else 0
+    if faces[i : i + 1] != (_norm_cyclic(face),):
+        raise ValueError("not a face of the drawing")
+    if not all(isinstance(i, int) and 0 <= i < len(face) for i in corner_positions):
+        raise ValueError("corner position outside the face")
+    corners = [face[i] for i in sorted(corner_positions)]
+    nodes = [d.dart_node(x) for x in corners]
+    if not all(x in vrot for x in nodes):
+        raise ValueError("face corner is not a real vertex")
+    if len(set(nodes)) != len(nodes):
         raise ValueError("corner nodes must be distinct")
-
-    new_edges = []
-    w_tokens: list[Ending] = []
-    for rank, i in enumerate(sorted(corner_positions)):
-        eid = first_eid + rank
-        x = d.dart_node(face[i])
-        j = d.rotation[x].index(face[i])
-        vrot[x] = vrot[x][:j] + ((eid, 0),) + vrot[x][j:]
-        new_edges.append((eid, (x, new_vid)))
-        routes[eid] = ()
+    edges = [(first_eid + rank, (x, new_vid)) for rank, x in enumerate(nodes)]
+    ends = {(e, 0): x for (e, _), x in zip(edges, corners)}
     # Clockwise around the new vertex = reverse of the boundary walk.
-    for i in sorted(corner_positions, reverse=True):
-        rank = sorted(corner_positions).index(i)
-        w_tokens.append((first_eid + rank, 1))
-
-    g2 = Multigraph(d.graph.vertices + (new_vid,), d.graph.edges + tuple(new_edges))
-    vrot[new_vid] = w_tokens
-    return Drawing.from_routes(g2, vrot, routes, spins, validate=False)
+    ends.update(((e, 1), None) for e, _ in reversed(edges))
+    return _splice(d, new_vid, edges, ends, {e: () for e, _ in edges}, {}, {})
 
 
 def route_edge(d: Drawing, eid: int, u: int, v: int,
@@ -69,44 +194,49 @@ def route_edge(d: Drawing, eid: int, u: int, v: int,
     new edge crosses; the edge leaves the face on that dart's left and
     enters the face on its right.  Corners are "insert before this dart"
     at u and v (None only for an isolated endpoint).  Each segment may be
-    crossed at most once per call.
+    crossed at most once per call.  Each face on the way splits in two; a
+    route that does not chain through faces is a ValueError.  Ids and
+    carried views follow the splice contract above; an ``eid`` below the
+    largest id moves every later dart up.
     """
+    vrot = d.route_view()[0]
+    seg_of = d.segment_of_dart()
     if u == v:
         raise ValueError("route_edge does not insert loops")
-    if eid in d.graph.edge_ids():
+    if eid in d.edge_paths:
         raise ValueError(f"edge id {eid} already in use")
-    vrot, routes, spins = d.route_view()
-    vrot, routes, spins = dict(vrot), dict(routes), dict(spins)
-    seg_of = d.segment_of_dart()
-
-    # New crossings, travel order: (edge, segment) -> key.
-    inserts: dict[tuple[int, int], object] = {}
+    if u not in vrot or v not in vrot or not all(x in seg_of for x in crossed_darts):
+        raise ValueError("endpoints and crossed darts must belong to the drawing")
+    for vert, corner in ((u, u_corner), (v, v_corner)):
+        if corner is None and d.rotation[vert]:
+            raise ValueError(f"vertex {vert} needs an explicit corner")
+        if corner is not None and d._dart_node.get(corner) != vert:
+            raise ValueError("corner dart not at its endpoint")
+    splices: dict[tuple[int, int], tuple[int]] = {}
+    spins: dict[int, bool] = {}
     for i, x in enumerate(crossed_darts):
         g, q, fwd = seg_of[x]
-        if (g, q) in inserts:
+        if (g, q) in splices:
             raise ValueError("dual path crosses a segment twice")
-        key = inserts[g, q] = ("new", i)
+        splices[g, q] = (i,)
         # The new edge crosses from x's left to its right, so x's edge
         # passes from the new edge's right when x points along it.
-        spins[key] = spin(eid, g, not fwd)
-    # Splice each crossing into its segment, last segments first.
-    for (g, q), key in sorted(inserts.items(), reverse=True):
-        routes[g] = routes[g][:q] + (key,) + routes[g][q:]
-
-    for end, vert, corner in ((0, u, u_corner), (1, v, v_corner)):
-        if corner is None:
-            if d.rotation[vert]:
-                raise ValueError(f"vertex {vert} needs an explicit corner")
-            vrot[vert] = ((eid, end),)
-        else:
-            if d.dart_node(corner) != vert:
-                raise ValueError("corner dart not at its endpoint")
-            j = d.rotation[vert].index(corner)
-            vrot[vert] = vrot[vert][:j] + ((eid, end),) + vrot[vert][j:]
-
-    g2 = Multigraph(d.graph.vertices, d.graph.edges + ((eid, (u, v)),))
-    routes[eid] = tuple(inserts.values())
-    return Drawing.from_routes(g2, vrot, routes, spins, validate=False)
+        spins[i] = spin(eid, g, not fwd)
+    ends = {(eid, 0): u_corner, (eid, 1): v_corner}
+    out = _splice(d, None, [(eid, (u, v))], ends, {eid: tuple(spins)}, splices, spins)
+    # The edge joins `parts` map components, or one when each step stays
+    # in a face; every other component keeps V - E + F = 2 (an isolated
+    # vertex counts one face, which faces() does not list).
+    hops = [u_corner, *(y for x in crossed_darts for y in (x, d.theta[x])), v_corner]
+    face_of = d.face_of_dart()
+    parts = 1
+    if None in hops or any(face_of[a] != face_of[b] for a, b in zip(hops[::2], hops[1::2])):
+        comp = {n: i for i, c in enumerate(d.map_components()) for n in c}
+        parts = len({comp[u], comp[v], *(comp[d.dart_node(x)] for x in crossed_darts)})
+    isolated = hops.count(None)
+    if len(out._faces) - len(d._faces) != len(crossed_darts) + 1 + isolated - 2 * (parts - 1):
+        raise ValueError("corners and crossed darts do not chain through faces")
+    return out
 
 
 def shortest_dual_path(d: Drawing, u: int, v: int,
@@ -184,8 +314,12 @@ class MoveRecord:
 def double_crossing_move(d: Drawing, dart_a: int, dart_b: int) -> tuple[Drawing, MoveRecord]:
     """Poke the segment of ``dart_a`` across the segment of ``dart_b`` and
     back; both darts must lie on the same face and on distinct edges.  The
-    crossing count of that pair grows by exactly two, parities unchanged."""
+    crossing count of that pair grows by exactly two, parities unchanged,
+    and the lens between the two new crossings becomes a face.  Both new
+    crossings are spliced into existing edges, so later ids move up."""
     face_of = d.face_of_dart()
+    if dart_a not in face_of or dart_b not in face_of:
+        raise ValueError("unknown dart")
     if face_of[dart_a] != face_of[dart_b]:
         raise ValueError("darts are not on a common face")
     seg_of = d.segment_of_dart()
@@ -193,23 +327,13 @@ def double_crossing_move(d: Drawing, dart_a: int, dart_b: int) -> tuple[Drawing,
     eb, qb, fb = seg_of[dart_b]
     if ea == eb:
         raise ValueError("double crossing needs two distinct edges")
-
-    vrot, routes, spins = d.route_view()
-    routes, spins = dict(routes), dict(spins)
-    z1, z2 = ("dx", 1), ("dx", 2)
     # Walking the face, A traverses its segment along dart_a and B along
-    # dart_b; in the disk between them A meets z1 then z2, B meets z2
-    # then z1.  Along those darts B passes from A's right at z1 and from
-    # A's left at z2; each dart against its edge's direction flips that.
-    spins[z1] = spin(ea, eb, fa != fb)
-    spins[z2] = spin(ea, eb, fa == fb)
-
-    pair_a = (z1, z2) if fa else (z2, z1)
-    pair_b = (z2, z1) if fb else (z1, z2)
-    routes[ea] = routes[ea][:qa] + pair_a + routes[ea][qa:]
-    routes[eb] = routes[eb][:qb] + pair_b + routes[eb][qb:]
-    out = Drawing.from_routes(d.graph, vrot, routes, spins, validate=False)
-    return out, MoveRecord(ea, eb, qa, qb)
+    # dart_b; in the disk between them A meets crossing 1 then 2, B meets
+    # 2 then 1.  Along those darts B passes from A's right at 1 and from
+    # A's left at 2; each dart against its edge's direction flips that.
+    spins = {1: spin(ea, eb, fa != fb), 2: spin(ea, eb, fa == fb)}
+    splices = {(ea, qa): (1, 2) if fa else (2, 1), (eb, qb): (2, 1) if fb else (1, 2)}
+    return _splice(d, None, [], {}, {}, splices, spins), MoveRecord(ea, eb, qa, qb)
 
 
 def undo_double_crossing(d: Drawing, rec: MoveRecord) -> Drawing:

@@ -1,0 +1,68 @@
+"""Reference surgery for the tests: the route-view rebuilds that
+``insert_vertex_in_face``, ``route_edge`` and ``double_crossing_move``
+used before they spliced the map in place.
+
+Each edits a copy of the route view and materializes the result with
+``Drawing.from_routes``, so its output has canonical ids.  Arguments are
+taken as valid.  Not collected by pytest: the module name has no
+``test_`` prefix."""
+from __future__ import annotations
+
+from oddplanar.drawing import Drawing, spin
+from oddplanar.graphs import Multigraph
+
+
+def rebuilt_vertex_in_face(d: Drawing, face, corner_positions, new_vid: int, first_eid: int) -> Drawing:
+    vrot, routes, spins = d.route_view()
+    vrot, routes = dict(vrot), dict(routes)
+    positions = sorted(corner_positions)
+    new_edges = []
+    for rank, i in enumerate(positions):
+        eid = first_eid + rank
+        x = d.dart_node(face[i])
+        j = d.rotation[x].index(face[i])
+        vrot[x] = vrot[x][:j] + ((eid, 0),) + vrot[x][j:]
+        new_edges.append((eid, (x, new_vid)))
+        routes[eid] = ()
+    # Clockwise around the new vertex = reverse of the boundary walk.
+    vrot[new_vid] = tuple((first_eid + rank, 1) for rank in reversed(range(len(positions))))
+    g2 = Multigraph(d.graph.vertices + (new_vid,), d.graph.edges + tuple(new_edges))
+    return Drawing.from_routes(g2, vrot, routes, spins, validate=False)
+
+
+def rebuilt_route_edge(d: Drawing, eid: int, u: int, v: int, u_corner, v_corner, crossed_darts) -> Drawing:
+    vrot, routes, spins = d.route_view()
+    vrot, routes, spins = dict(vrot), dict(routes), dict(spins)
+    seg_of = d.segment_of_dart()
+    inserts: dict[tuple[int, int], object] = {}
+    for i, x in enumerate(crossed_darts):
+        g, q, fwd = seg_of[x]
+        key = inserts[g, q] = ("new", i)
+        spins[key] = spin(eid, g, not fwd)
+    for (g, q), key in sorted(inserts.items(), reverse=True):
+        routes[g] = routes[g][:q] + (key,) + routes[g][q:]
+    for end, vert, corner in ((0, u, u_corner), (1, v, v_corner)):
+        if corner is None:
+            vrot[vert] = ((eid, end),)
+        else:
+            j = d.rotation[vert].index(corner)
+            vrot[vert] = vrot[vert][:j] + ((eid, end),) + vrot[vert][j:]
+    g2 = Multigraph(d.graph.vertices, d.graph.edges + ((eid, (u, v)),))
+    routes[eid] = tuple(inserts.values())
+    return Drawing.from_routes(g2, vrot, routes, spins, validate=False)
+
+
+def rebuilt_double_crossing(d: Drawing, dart_a: int, dart_b: int) -> Drawing:
+    seg_of = d.segment_of_dart()
+    ea, qa, fa = seg_of[dart_a]
+    eb, qb, fb = seg_of[dart_b]
+    vrot, routes, spins = d.route_view()
+    routes, spins = dict(routes), dict(spins)
+    z1, z2 = ("dx", 1), ("dx", 2)
+    spins[z1] = spin(ea, eb, fa != fb)
+    spins[z2] = spin(ea, eb, fa == fb)
+    pair_a = (z1, z2) if fa else (z2, z1)
+    pair_b = (z2, z1) if fb else (z1, z2)
+    routes[ea] = routes[ea][:qa] + pair_a + routes[ea][qa:]
+    routes[eb] = routes[eb][:qb] + pair_b + routes[eb][qb:]
+    return Drawing.from_routes(d.graph, vrot, routes, spins, validate=False)

@@ -1,7 +1,7 @@
 """``Drawing.from_routes`` fills the route, pass and segment views while it
-assigns darts.  Those seeded views must equal, value for value and in
-iteration order, the views the raw constructor derives lazily from the
-same map."""
+assigns darts, and surgery carries them through its splices.  Those
+seeded views must equal, value for value and in iteration order, the
+views the raw constructor derives lazily from the same map."""
 from __future__ import annotations
 
 from functools import cache
@@ -25,6 +25,8 @@ from oddplanar.surgery import (
     random_planar_drawing,
     random_planar_triangulation,
     random_quadrangulation,
+    route_edge,
+    shortest_dual_path,
     undo_double_crossing,
 )
 from fixtures import figure_eight, k4_convex, k5_one_crossing, lens_pair
@@ -74,6 +76,21 @@ def perturbed():
     return perturb_even(random_planar_triangulation(10, 2), 5, 7)
 
 
+def spliced() -> list[Drawing]:
+    """Surgery that moves ids: a reroute under the id it just freed, an
+    edge below the largest id, a poke of a self-crossing drawing, and a
+    vertex dropped into a drawing with crossings."""
+    d = perturbed()[0]
+    u, v = d.graph.endpoints(4)
+    base = d.remove_edges({4})
+    reroute = route_edge(base, 4, u, v, *shortest_dual_path(base, u, v))
+    low = insert_edge_shortest(d.remove_edges({2}), 2, 0, 9)
+    s = self_crossing_drawing()
+    a, b = _entangle_options(s)[-1]
+    face = next(f for f in s.faces() if s.dart_node(f[0]) in s.graph.vertices)
+    return [reroute, low, double_crossing_move(s, a, b)[0], insert_vertex_in_face(s, face, [0], 200, 300)]
+
+
 def transform_outputs() -> list[Drawing]:
     pipeline = theorem2_transform(quadrangulation_with_diagonals(13, 3), 1)
     return [pipeline.g1, *pipeline.g3, pipeline.g4]
@@ -104,6 +121,7 @@ CORPUS = {
         merge_disjoint([lens_pair(), far_figure_eight()]),
     ],
     "canonical": lambda: [perturbed()[0].canonicalize()],
+    "spliced": spliced,
     "transform": transform_outputs,
 }
 

@@ -1,0 +1,362 @@
+"""Surgery splices the map in place; ``splicing.py`` keeps the route-view
+rebuilds it replaced as the reference.
+
+On a corpus of drawings the three edits (and ``remove_edges``, whose
+reference is ``smoothing.py``) must give the drawing the rebuild gives,
+with the map itself, faces included, equal up to the order-preserving
+renaming of darts and crossing nodes onto the reference's canonical ids.
+Every view the edit carries must equal the view the raw constructor
+derives lazily from the spliced map.  No edit builds a drawing through
+``from_routes``, and growing a triangulation or a quadrangulation traces
+all faces a bounded number of times, not once per step.
+"""
+from __future__ import annotations
+
+import random
+from functools import cache
+
+import pytest
+
+from oddplanar import Drawing, Multigraph, complete_graph
+from oddplanar.docio import serialize_drawing
+from oddplanar.oracle import _entangle_options, perturb_even, random_drawing
+from oddplanar.surgery import (
+    double_crossing_move,
+    insert_vertex_in_face,
+    quadrangulation_with_diagonals,
+    random_planar_drawing,
+    random_planar_triangulation,
+    random_quadrangulation,
+    route_edge,
+    shortest_dual_path,
+)
+from fixtures import figure_eight, k5_one_crossing, lens_pair
+from smoothing import rebuilt_without
+from splicing import rebuilt_double_crossing, rebuilt_route_edge, rebuilt_vertex_in_face
+from test_drawing_views import lazy, two_loops, views
+from test_explore_kernels import self_crossing_drawing
+from test_remove_edges import order_map, relabelled
+
+
+@cache
+def sources() -> dict[str, Drawing]:
+    tri = random_planar_triangulation(14, 3)
+    return {
+        "triangulation": tri,
+        "triangulation-gappy": tri.remove_edges({2, 9, 20}),
+        "vertex-gap": tri.induced_subdrawing(set(tri.graph.vertices) - {3, 8}),
+        "quadrangulation": random_quadrangulation(13, 4),
+        "quad-diagonals": quadrangulation_with_diagonals(11, 2),
+        "perturbed": perturb_even(random_planar_triangulation(10, 5), 5, 5)[0],
+        "convex": random_drawing(complete_graph(6), 1, "convex"),
+        "self-crossing": self_crossing_drawing(),
+        "loops": two_loops(),
+        "figure-eight": figure_eight().disjoint_union(k5_one_crossing()),
+        "lens": lens_pair(),
+        "relabelled": relabelled(perturb_even(random_planar_triangulation(8, 6), 3, 6)[0]),
+    }
+
+
+def counting_from_routes(monkeypatch) -> list:
+    calls = []
+    original = Drawing.from_routes.__func__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Drawing, "from_routes", classmethod(counting))
+    return calls
+
+
+def assert_spliced(out: Drawing, ref: Drawing, ordered: bool) -> None:
+    assert serialize_drawing(out) == serialize_drawing(ref)
+    assert out == ref
+    assert out.validate() == [] == ref.validate()
+    assert out.crossing_stats() == ref.crossing_stats()
+    assert max(out.theta, default=-1) <= out._top
+
+    # Carried views equal the lazily derived ones: counts and odd degrees
+    # as dicts, the faces and the dart-to-face map exactly, and the route,
+    # pass and segment views in order too when the source's ids are in
+    # canonical relative order.
+    again = lazy(out)
+    if ordered:
+        assert views(out) == views(again)
+        assert [list(c.items()) for c in out._counts()] == [list(c.items()) for c in again._counts()]
+    vrot, routes, spins = out.route_view()
+    for mine, derived in zip((vrot, routes, spins, out.crossing_passes(), out.segment_of_dart()),
+                             (*again.route_view(), again.crossing_passes(), again.segment_of_dart())):
+        assert dict(mine) == dict(derived)
+    assert out._counts() == again._counts()
+    assert out._odd_degrees() == again._odd_degrees()
+    assert out.faces() == again.faces()
+    assert dict(out.face_of_dart()) == dict(again.face_of_dart())
+
+    if ordered:
+        dmap = order_map(out.theta, ref.theta)
+        nmap = order_map(out.rotation, ref.rotation)
+        assert {nmap[n]: tuple(dmap[x] for x in r) for n, r in out.rotation.items()} == ref.rotation
+        assert {dmap[a]: dmap[b] for a, b in out.theta.items()} == ref.theta
+        assert {e: tuple(dmap[x] for x in p) for e, p in out.edge_paths.items()} == ref.edge_paths
+        assert [tuple(dmap[x] for x in f) for f in out.faces()] == list(ref.faces())
+        assert list(out.edge_paths) == sorted(out.edge_paths)
+
+
+def vertex_insertions(d: Drawing):
+    """(face, corner positions) for up to six faces: every corner at a
+    distinct real vertex, and the first such corner alone."""
+    real = set(d.graph.vertices)
+    for face in d.faces()[:6]:
+        picks, seen = [], set()
+        for i, x in enumerate(face):
+            node = d.dart_node(x)
+            if node in real and node not in seen:
+                picks.append(i)
+                seen.add(node)
+        if picks:
+            yield face, picks
+            yield face, picks[:1]
+
+
+def routes_of(d: Drawing, rng: random.Random):
+    """(u, v, u corner, v corner, crossed) along shortest dual paths for a
+    few seeded vertex pairs."""
+    verts = d.graph.vertices
+    for _ in range(4):
+        u, v = rng.sample(verts, 2)
+        yield (u, v, *shortest_dual_path(d, u, v, rng))
+
+
+def ids_below_max(d: Drawing) -> list[int]:
+    """Unused edge ids below the largest one."""
+    used = set(d.graph.edge_ids())
+    return [e for e in range(max(used, default=0)) if e not in used][:2]
+
+
+@pytest.mark.parametrize("name", sorted(sources()))
+def test_vertex_insertion_agrees_with_the_rebuild(name, monkeypatch):
+    d = sources()[name]
+    ordered = name != "relabelled"
+    top_v = max(d.graph.vertices) + 1
+    top_e = max(d.graph.edge_ids(), default=-1) + 1
+    cases = []
+    for face, picks in vertex_insertions(d):
+        cases.append((face, picks, top_v, top_e))
+        for low in ids_below_max(d)[: 1 if len(picks) == 1 else 0]:
+            cases.append((face, picks, top_v + 5, low))
+    cases.append((d.faces()[0], [], top_v + 1, top_e))
+    gaps = [v for v in range(top_v) if v not in d.graph.vertices]
+    if gaps:
+        face, picks = next(vertex_insertions(d))
+        cases.append((face, picks, gaps[0], top_e))
+    assert cases
+    calls = counting_from_routes(monkeypatch)
+    outs = [(insert_vertex_in_face(d, *case), case) for case in cases]
+    assert calls == []
+    monkeypatch.undo()
+    for out, case in outs:
+        assert_spliced(out, rebuilt_vertex_in_face(d, *case), ordered)
+
+
+@pytest.mark.parametrize("name", sorted(sources()))
+def test_edge_routing_agrees_with_the_rebuild(name, monkeypatch):
+    d = sources()[name]
+    ordered = name != "relabelled"
+    rng = random.Random(name)
+    top = max(d.graph.edge_ids(), default=-1) + 1
+    cases = [(d, top, *r) for r in routes_of(d, rng)]
+    cases += [(d, e, *r) for e, r in zip(ids_below_max(d), routes_of(d, rng))]
+    # The explorer's reroute: remove an edge, route it again under its id.
+    for eid in rng.sample(d.graph.edge_ids(), min(3, d.graph.m)):
+        u, v = d.graph.endpoints(eid)
+        if u != v:
+            base = d.remove_edges({eid})
+            cases.append((base, eid, u, v, *shortest_dual_path(base, u, v, rng)))
+    assert any(case[-1] for case in cases) or name in ("convex", "figure-eight", "lens", "loops")
+    calls = counting_from_routes(monkeypatch)
+    outs = [route_edge(*case) for case in cases]
+    assert calls == []
+    monkeypatch.undo()
+    for out, case in zip(outs, cases):
+        assert_spliced(out, rebuilt_route_edge(*case), ordered)
+
+
+@pytest.mark.parametrize("name", sorted(sources()))
+def test_double_crossing_agrees_with_the_rebuild(name, monkeypatch):
+    d = sources()[name]
+    ordered = name != "relabelled"
+    options = _entangle_options(d)
+    if not options:
+        pytest.skip("no face offers two distinct edges")
+    picks = random.Random(name).sample(options, min(8, len(options)))
+    calls = counting_from_routes(monkeypatch)
+    outs = [double_crossing_move(d, a, b)[0] for a, b in picks]
+    assert calls == []
+    monkeypatch.undo()
+    for out, (a, b) in zip(outs, picks):
+        assert_spliced(out, rebuilt_double_crossing(d, a, b), ordered)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_chained_edits_agree_with_chained_rebuilds(seed):
+    """An explorer-like walk: pokes, reroutes under the removed id, new
+    edges and new vertices, each applied to the last spliced drawing and
+    to the last rebuild alike."""
+    rng = random.Random(seed)
+    out = ref = perturb_even(random_planar_triangulation(9, seed), 2, seed)[0]
+    for step in range(12):
+        kind = step % 4
+        if kind == 0:
+            a, b = rng.choice(_entangle_options(out))
+            dmap = order_map(out.theta, ref.theta)
+            out, ref = double_crossing_move(out, a, b)[0], rebuilt_double_crossing(ref, dmap[a], dmap[b])
+        elif kind in (1, 2):
+            eid = rng.choice(out.graph.edge_ids()) if kind == 1 else max(out.graph.edge_ids()) + 1
+            u, v = out.graph.endpoints(eid) if kind == 1 else rng.sample(out.graph.vertices, 2)
+            base_out = out.remove_edges({eid}) if kind == 1 else out
+            base_ref = rebuilt_without(ref, {eid}) if kind == 1 else ref
+            uc, vc, crossed = shortest_dual_path(base_out, u, v, random.Random(step))
+            dmap = order_map(base_out.theta, base_ref.theta)
+            out = route_edge(base_out, eid, u, v, uc, vc, crossed)
+            ref = rebuilt_route_edge(base_ref, eid, u, v, dmap.get(uc), dmap.get(vc), [dmap[x] for x in crossed])
+        else:
+            i = rng.randrange(len(out.faces()))
+            face = out.faces()[i]
+            w, e = max(out.graph.vertices) + 1, max(out.graph.edge_ids()) + 1
+            real = [j for j, x in enumerate(face) if out.dart_node(x) in out.graph.vertices][:1]
+            out, ref = insert_vertex_in_face(out, face, real, w, e), rebuilt_vertex_in_face(ref, ref.faces()[i], real, w, e)
+        assert_spliced(out, ref, True)
+
+
+@pytest.mark.parametrize("seed", range(70, 90))
+def test_pokes_after_removals_agree_with_the_rebuild(seed):
+    """Removals leave gaps below the dart bound; pokes near the top must
+    still move every dart above them."""
+    out = ref = random_planar_drawing(4 + seed % 7, seed, deletions=seed % 4)
+    rng = random.Random(seed)
+    for _ in range(4):
+        options = _entangle_options(out)
+        if not options:
+            return
+        a, b = options[rng.randrange(len(options))]
+        dmap = order_map(out.theta, ref.theta)
+        out, ref = double_crossing_move(out, a, b)[0], rebuilt_double_crossing(ref, dmap[a], dmap[b])
+        assert_spliced(out, ref, True)
+
+
+def test_removal_carries_faces_and_odd_degrees():
+    for d in sources().values():
+        d.faces(), d.crossing_stats()
+        for eid in d.graph.edge_ids()[:6]:
+            out = d.remove_edges({eid})
+            # The faces are patched from the source's on first read.
+            assert out._face_source is not None and out._odd_deg is not None
+            again = lazy(out)
+            assert out.faces() == again.faces()
+            assert out._odd_degrees() == again._odd_degrees()
+            assert rebuilt_without(d, {eid}) == out
+
+
+def test_edits_leave_their_input_unchanged():
+    d = sources()["self-crossing"]
+    before = (dict(d.rotation), dict(d.theta), dict(d.edge_paths), views(d), d.faces(), d.crossing_stats())
+    a, b = _entangle_options(d)[0]
+    double_crossing_move(d, a, b)
+    route_edge(d, 500, 0, 7, *shortest_dual_path(d, 0, 7))
+    insert_vertex_in_face(d, d.faces()[0], [0], 501, 501)
+    assert (dict(d.rotation), dict(d.theta), dict(d.edge_paths), views(d), d.faces(), d.crossing_stats()) == before
+
+
+@pytest.mark.parametrize("grow, n", [(random_planar_triangulation, 300), (random_quadrangulation, 301)])
+def test_growth_traces_and_rebuilds_a_bounded_number_of_times(grow, n, monkeypatch):
+    calls = counting_from_routes(monkeypatch)
+    traces = []
+    original = Drawing.faces
+
+    def counting_faces(self):
+        if self._faces is None:
+            traces.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Drawing, "faces", counting_faces)
+    for seed in (0, 1):
+        d = grow(n, seed)
+        assert d.graph.n == n
+    assert len(calls) <= 2 and len(traces) <= 2
+
+
+# ---------------------------------------------------------------------------
+# Malformed arguments are a ValueError
+# ---------------------------------------------------------------------------
+
+
+def test_route_edge_refuses_corners_that_do_not_chain():
+    d = random_planar_triangulation(8, 1)
+    with pytest.raises(ValueError, match="chain"):
+        route_edge(d, d.graph.m, 0, 6, d.rotation[0][0], d.rotation[6][0], [])
+    # A crossed dart on a face away from the u corner breaks the chain too.
+    uc, vc, crossed = shortest_dual_path(d, 0, 6)
+    far = next(x for x in d.theta if d.face_of_dart()[x] not in {d.face_of_dart()[uc], d.face_of_dart()[vc]})
+    with pytest.raises(ValueError, match="chain"):
+        route_edge(d, d.graph.m, 0, 6, uc, vc, [far])
+
+
+def test_route_edge_still_bridges_map_components():
+    d = k5_one_crossing().disjoint_union(lens_pair())
+    out = route_edge(d, 50, 0, 6, d.rotation[0][0], d.rotation[6][0], [])
+    assert out.validate() == [] and len(out.map_components()) == 1
+    # From an isolated vertex into the other component, across one of its
+    # segments: the first step joins the components.
+    d = Drawing.from_routes(Multigraph((0, 1, 2, 3), ((0, (0, 1)), (1, (1, 2)), (2, (0, 2)))),
+                            {0: ((0, 0), (2, 0)), 1: ((1, 0), (0, 1)), 2: ((2, 1), (1, 1)), 3: ()},
+                            {0: (), 1: (), 2: ()}, {})
+    face_of = d.face_of_dart()
+    for x in d.theta:
+        for vc in d.rotation[0]:
+            if face_of[vc] == face_of[d.theta[x]]:
+                out = route_edge(d, 3, 3, 0, None, vc, [x])
+                assert out.validate() == [] and out == rebuilt_route_edge(d, 3, 3, 0, None, vc, [x])
+            else:
+                with pytest.raises(ValueError):
+                    route_edge(d, 3, 3, 0, None, vc, [x])
+
+
+def test_route_edge_arguments_are_value_errors():
+    d = random_planar_triangulation(5, 2)
+    corner = d.rotation[0][0]
+    for args in (
+        (99, 0, 77, None, None, []),  # unknown endpoint
+        (99, 0, 5, corner, None, [10_000]),  # unknown crossed dart
+        (99, 0, 4, -7, d.rotation[4][0], []),  # corner that is no dart
+        (99, 0, 4, d.rotation[4][0], d.rotation[4][0], []),  # corner at the other end
+        (99, 0, 4, None, d.rotation[4][0], []),  # no corner at a vertex with darts
+        (0, 0, 4, corner, d.rotation[4][0], []),  # edge id in use
+        (99, 2, 2, None, None, []),  # loop
+    ):
+        with pytest.raises(ValueError):
+            route_edge(d, *args)
+
+
+def test_vertex_insertion_arguments_are_value_errors():
+    d = random_planar_triangulation(6, 1)
+    face = d.faces()[0]
+    for positions in ([0, 5], [-1], [0.5], [0, 0]):
+        with pytest.raises(ValueError):
+            insert_vertex_in_face(d, face, positions, 6, 100)
+    with pytest.raises(ValueError):
+        insert_vertex_in_face(d, face, [0], 3, 100)  # vertex id in use
+    with pytest.raises(ValueError):
+        insert_vertex_in_face(d, face, [0, 1], 6, 0)  # edge id in use
+    with pytest.raises(ValueError):
+        insert_vertex_in_face(d, face[1:] + (face[0] + 1,), [0], 6, 100)  # not a face
+    with pytest.raises(ValueError):
+        insert_vertex_in_face(d, (), [], 6, 100)
+
+
+def test_double_crossing_arguments_are_value_errors():
+    d = random_planar_triangulation(6, 1)
+    a, b = _entangle_options(d)[0]
+    for args in ((a, 10_000), (-1, b), (a, d.theta[a])):
+        with pytest.raises(ValueError):
+            double_crossing_move(d, *args)
