@@ -607,8 +607,8 @@ class Drawing:
         canonical renumbering would give.  Only the rotations at the
         removed edges' endpoints are re-normalized.  The route view (node
         ids unchanged) and the passes are carried over, and so are the
-        crossing counts, odd degrees and faces already computed; the faces
-        through a dropped dart merge and are traced on first read."""
+        crossing counts and faces already computed; the faces through a
+        dropped dart merge and are traced on first read."""
         removed = set(edge_set)
         if not removed:
             return self
@@ -669,17 +669,8 @@ class Drawing:
             MappingProxyType({c: s for c, s in spins.items() if c not in dead}),
         )
         if self._pair_counts is not None:
-            d._pair_counts = {
-                k: n for k, n in self._pair_counts.items() if k[0] not in removed and k[1] not in removed
-            }
+            d._pair_counts = {k: n for k, n in self._pair_counts.items() if removed.isdisjoint(k)}
             d._self_counts = {e: n for e, n in self._self_counts.items() if e not in removed}
-        if self._odd_deg is not None:
-            odd = d._odd_deg = dict(self._odd_deg)
-            for e in removed:
-                odd.pop(e, None)
-            for e1, e2 in {(p[0][0], p[1][0]) for p in map(passes.get, dead)}:
-                if e1 != e2 and self._pair_counts[e1, e2] % 2:
-                    _bump(odd, {e1, e2} - removed, -1)
         if self._faces is not None:
             d._face_source = (self, gone)
         return d
@@ -777,14 +768,6 @@ def _repass(passes: dict, routes, touched) -> None:
             acc.setdefault(c, []).append((e, pos))
     for c, ps in acc.items():
         passes[c] = tuple(sorted(ps + [p for p in passes.get(c, ()) if p[0] not in touched]))
-
-
-def _bump(odd: dict[int, int], edges, step: int) -> None:
-    """Add ``step`` to the odd degree of each edge; zeros are not kept."""
-    for e in edges:
-        odd[e] = odd.get(e, 0) + step
-        if not odd[e]:
-            del odd[e]
 
 
 def _walk(rotation, theta, node, x: int) -> list[int]:

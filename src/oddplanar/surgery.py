@@ -15,9 +15,10 @@ move works out which side one edge, taken end0->end1, passes the other
 from, and ``spin`` turns that side into the stored bit.
 
 The three edits check their arguments (a malformed one is a ValueError)
-and patch copies of the map through one kernel, ``_splice``: new darts
-and crossings take the ids a canonical rebuild would give them, later
-ids move up, and every view of the input, faces included, is carried.
+and, with ``add_diagonals``, patch copies of the map through one kernel,
+``_splice``: new darts and crossings take a canonical rebuild's ids,
+later ids move up, and every view of the input, faces included, is
+carried (counts and odd degrees only when no crossing is added).
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .drawing import Drawing, Ending, _bump, _crossing, _endings, _norm_cyclic, _reface, _repass, spin
+from .drawing import Drawing, Ending, _crossing, _endings, _norm_cyclic, _reface, _repass, spin
 from .graphs import Multigraph
 
 
@@ -115,17 +116,18 @@ def _splice(d: Drawing, vertex, edges, ends, routes, splices, spins) -> Drawing:
         new_spins[c] = bool(spins[key])
         rotation[c] = _crossing(paths, passes[c], new_spins[c])
 
-    # New endings at their vertices, then the faces they split.
-    rotation.update(dict.fromkeys(new_v, ()))
-    at = set(new_v)
+    # New endings at their vertices, one merge pass over each rotation,
+    # then the faces they split.
+    before: dict[int, dict] = {v: {} for v in new_v}
     for (e, end), corner in ends.items():
         t = made[e][-end]
-        r = rotation[node[t]]
-        j = len(r) if corner is None else r.index(dget(corner, corner))
-        rotation[node[t]] = r[:j] + (t,) + r[j:]
-        at.add(node[t])
-    for x in at:
-        rotation[x] = _norm_cyclic(rotation[x])
+        before.setdefault(node[t], {}).setdefault(dget(corner, corner), []).append(t)
+    for x, put in before.items():
+        r = []
+        for y in rotation.get(x, ()):
+            r += put.get(y, ())
+            r.append(y)
+        rotation[x] = _norm_cyclic(tuple(r + put.get(None, [])))
         vrot[x] = _endings(seg, rotation[x])
     seeds = [c for c in ends.values() if c is not None] + [x for g, q in splices for x in old[g][2 * q : 2 * q + 2]]
     # Every face left where an old face was split or merged runs
@@ -143,16 +145,8 @@ def _splice(d: Drawing, vertex, edges, ends, routes, splices, spins) -> Drawing:
     out._adopt(graph, rotation, theta, paths, node, d._top + bisect_right(anchors, d._top))
     out._segments, out._passes, out._faces = MappingProxyType(seg), passes, tuple(faces)
     out._routes = (MappingProxyType(vrot), MappingProxyType(new_routes), MappingProxyType(new_spins))
-    (out._pair_counts, out._self_counts), out._odd_deg = d._counts(), d._odd_degrees()
-    if node_of:
-        # Counted again in crossing order; a pair's odd degrees change
-        # where its count changes parity.
-        out._pair_counts, odd = None, dict(out._odd_deg)
-        pairs = out._counts()[0]
-        for e1, e2 in {(passes[c][0][0], passes[c][1][0]) for c in node_of.values()}:
-            if e1 != e2 and (pairs[e1, e2] - d._pair_counts.get((e1, e2), 0)) % 2:
-                _bump(odd, (e1, e2), 1 if pairs[e1, e2] % 2 else -1)
-        out._odd_deg = odd
+    if not node_of:  # no new crossing: the counts stand
+        (out._pair_counts, out._self_counts), out._odd_deg = d._counts(), d._odd_degrees()
     return out
 
 
@@ -364,21 +358,24 @@ def base_triangle() -> Drawing:
     return Drawing.crossing_free(g, vrot, validate=False)
 
 
+def _grow(d: Drawing, n: int, rng: random.Random, corners: list[int]) -> Drawing:
+    """Drop new vertices into seeded random faces until there are n, each
+    joined to the face corners at positions ``corners``."""
+    eid = d.graph.m
+    for w in range(d.graph.n, n):
+        faces = d.faces()
+        d = insert_vertex_in_face(d, faces[rng.randrange(len(faces))], corners, w, eid)
+        eid += len(corners)
+    return d
+
+
 def random_planar_triangulation(n: int, seed: int) -> Drawing:
     """Grow a plane triangulation: start from a triangle, repeatedly drop a
     new vertex into a (seeded) random face and join it to the three
     corners.  Every face stays a triangle with distinct corners."""
     if n < 3:
         raise ValueError("need n >= 3")
-    rng = random.Random(f"{seed}:tri")
-    d = base_triangle()
-    eid = 3
-    for w in range(3, n):
-        faces = d.faces()
-        face = faces[rng.randrange(len(faces))]
-        d = insert_vertex_in_face(d, face, [0, 1, 2], w, eid)
-        eid += 3
-    return d
+    return _grow(base_triangle(), n, random.Random(f"{seed}:tri"), [0, 1, 2])
 
 
 def random_planar_drawing(n: int, seed: int, deletions: int = 0) -> Drawing:
@@ -406,65 +403,42 @@ def base_square() -> Drawing:
 
 def random_quadrangulation(n: int, seed: int) -> Drawing:
     """Grow a simple plane quadrangulation on n >= 4 vertices: insert each
-    new vertex into a quadrilateral face joined to two opposite corners."""
+    new vertex into a quadrilateral face joined to two opposite corners,
+    which splits it into two quadrilaterals."""
     if n < 4:
         raise ValueError("need n >= 4")
-    rng = random.Random(f"{seed}:quad")
-    d = base_square()
-    eid = 4
-    for w in range(4, n):
-        faces = [f for f in d.faces() if len(f) == 4]
-        face = faces[rng.randrange(len(faces))]
-        d = insert_vertex_in_face(d, face, [0, 2], w, eid)
-        eid += 2
-    return d
+    return _grow(base_square(), n, random.Random(f"{seed}:quad"), [0, 2])
 
 
 def add_diagonals(d: Drawing) -> Drawing:
     """Add both diagonals, crossing once, inside every quadrilateral face
-    with four distinct corners, skipping any diagonal whose vertex pair
-    is already an edge, so the result stays simple when the input is.
-    On a quadrangulation whose faces share no opposite corner pair this
-    yields 2n-4 + 2(n-2) = 4n-8 edges, each diagonal crossed once."""
-    faces = [f for f in d.faces() if len(f) == 4]
-    old_vrot, routes, spins = d.route_view()
-    routes, spins = dict(routes), dict(spins)
-    eid = max(d.graph.edge_ids()) + 1
-    new_edges = []
+    with four distinct real vertices as corners, skipping any diagonal
+    whose vertex pair is already an edge, so the result stays simple when
+    the input is.  On a quadrangulation whose faces share no opposite
+    corner pair this yields 2n-4 + 2(n-2) = 4n-8 edges, each diagonal
+    crossed once.  One splice adds every chord; with none to add the
+    input comes back as it is."""
+    real = d.route_view()[0]
     used_pairs = {frozenset(uv) for _, uv in d.graph.edges}
-    # queued corner insertions: before-dart -> ending token
-    pending: dict[int, Ending] = {}
-    for idx, face in enumerate(faces):
+    eid = max(d.graph.edge_ids(), default=-1) + 1
+    edges, ends, routes, spins = [], {}, {}, {}
+    for face in d.faces():
         nodes = [d.dart_node(x) for x in face]
-        if len(set(nodes)) != 4:
+        if len(face) != 4 or len(set(nodes)) != 4 or not all(x in real for x in nodes):
             continue
-        pa, pb = frozenset((nodes[0], nodes[2])), frozenset((nodes[1], nodes[3]))
+        pa, pb = frozenset(nodes[::2]), frozenset(nodes[1::2])
         if pa in used_pairs or pb in used_pairs:
             continue
-        used_pairs.add(pa)
-        used_pairs.add(pb)
+        used_pairs |= {pa, pb}
         ea, eb = eid, eid + 1
         eid += 2
-        z = ("diag", idx)
-        new_edges.append((ea, (nodes[0], nodes[2])))
-        new_edges.append((eb, (nodes[1], nodes[3])))
-        routes[ea] = [z]
-        routes[eb] = [z]
-        # A runs corner0 -> corner2, B corner1 -> corner3; with the face
-        # walked counterclockwise B passes from A's right.
-        spins[z] = spin(ea, eb, False)
-        for end, pos, e in ((0, 0, ea), (1, 2, ea), (0, 1, eb), (1, 3, eb)):
-            pending[face[pos]] = (e, end)
-    vrot: dict[int, list[Ending]] = {}
-    for v in d.graph.vertices:
-        out: list[Ending] = []
-        for x, t in zip(d.rotation[v], old_vrot[v]):
-            if x in pending:
-                out.append(pending[x])
-            out.append(t)
-        vrot[v] = out
-    g2 = Multigraph(d.graph.vertices, d.graph.edges + tuple(new_edges))
-    return Drawing.from_routes(g2, vrot, routes, spins, validate=False)
+        # A runs corner0 -> corner2 and B corner1 -> corner3 through key ea;
+        # with the face walked counterclockwise B passes from A's right.
+        edges += [(ea, (nodes[0], nodes[2])), (eb, (nodes[1], nodes[3]))]
+        routes[ea] = routes[eb] = (ea,)
+        spins[ea] = spin(ea, eb, False)
+        ends.update({(ea, 0): face[0], (ea, 1): face[2], (eb, 0): face[1], (eb, 1): face[3]})
+    return _splice(d, None, edges, ends, routes, {}, spins) if edges else d
 
 
 def pseudo_double_wheel(half: int) -> Drawing:

@@ -1,6 +1,6 @@
 """Reference surgery for the tests: the route-view rebuilds that
-``insert_vertex_in_face``, ``route_edge`` and ``double_crossing_move``
-used before they spliced the map in place.
+``insert_vertex_in_face``, ``route_edge``, ``double_crossing_move`` and
+``add_diagonals`` used before they spliced the map in place.
 
 Each edits a copy of the route view and materializes the result with
 ``Drawing.from_routes``, so its output has canonical ids.  Arguments are
@@ -66,3 +66,41 @@ def rebuilt_double_crossing(d: Drawing, dart_a: int, dart_b: int) -> Drawing:
     routes[ea] = routes[ea][:qa] + pair_a + routes[ea][qa:]
     routes[eb] = routes[eb][:qb] + pair_b + routes[eb][qb:]
     return Drawing.from_routes(d.graph, vrot, routes, spins, validate=False)
+
+
+def rebuilt_diagonals(d: Drawing) -> Drawing:
+    """Both crossing diagonals in every quadrilateral face with four
+    distinct real vertices as corners, unless a pair is already an edge."""
+    vrot, routes, spins = d.route_view()
+    routes, spins = dict(routes), dict(spins)
+    real = set(d.graph.vertices)
+    eid = max(d.graph.edge_ids(), default=-1) + 1
+    new_edges = []
+    used_pairs = {frozenset(uv) for _, uv in d.graph.edges}
+    pending = {}  # before-dart -> ending
+    for idx, face in enumerate(d.faces()):
+        nodes = [d.dart_node(x) for x in face]
+        if len(face) != 4 or len(set(nodes)) != 4 or not real.issuperset(nodes):
+            continue
+        pa, pb = frozenset((nodes[0], nodes[2])), frozenset((nodes[1], nodes[3]))
+        if pa in used_pairs or pb in used_pairs:
+            continue
+        used_pairs |= {pa, pb}
+        ea, eb = eid, eid + 1
+        eid += 2
+        z = ("diag", idx)
+        new_edges += [(ea, (nodes[0], nodes[2])), (eb, (nodes[1], nodes[3]))]
+        routes[ea] = routes[eb] = (z,)
+        spins[z] = spin(ea, eb, False)
+        for end, pos, e in ((0, 0, ea), (1, 2, ea), (0, 1, eb), (1, 3, eb)):
+            pending[face[pos]] = (e, end)
+    new_vrot = {}
+    for v in d.graph.vertices:
+        out = []
+        for x, t in zip(d.rotation[v], vrot[v]):
+            if x in pending:
+                out.append(pending[x])
+            out.append(t)
+        new_vrot[v] = tuple(out)
+    g2 = Multigraph(d.graph.vertices, d.graph.edges + tuple(new_edges))
+    return Drawing.from_routes(g2, new_vrot, routes, spins, validate=False)

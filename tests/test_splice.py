@@ -1,7 +1,7 @@
 """Surgery splices the map in place; ``splicing.py`` keeps the route-view
 rebuilds it replaced as the reference.
 
-On a corpus of drawings the three edits (and ``remove_edges``, whose
+On a corpus of drawings the edits (and ``remove_edges``, whose
 reference is ``smoothing.py``) must give the drawing the rebuild gives,
 with the map itself, faces included, equal up to the order-preserving
 renaming of darts and crossing nodes onto the reference's canonical ids.
@@ -21,8 +21,10 @@ from oddplanar import Drawing, Multigraph, complete_graph
 from oddplanar.docio import serialize_drawing
 from oddplanar.oracle import _entangle_options, perturb_even, random_drawing
 from oddplanar.surgery import (
+    add_diagonals,
     double_crossing_move,
     insert_vertex_in_face,
+    pseudo_double_wheel,
     quadrangulation_with_diagonals,
     random_planar_drawing,
     random_planar_triangulation,
@@ -32,7 +34,7 @@ from oddplanar.surgery import (
 )
 from fixtures import figure_eight, k5_one_crossing, lens_pair
 from smoothing import rebuilt_without
-from splicing import rebuilt_double_crossing, rebuilt_route_edge, rebuilt_vertex_in_face
+from splicing import rebuilt_diagonals, rebuilt_double_crossing, rebuilt_route_edge, rebuilt_vertex_in_face
 from test_drawing_views import lazy, two_loops, views
 from test_explore_kernels import self_crossing_drawing
 from test_remove_edges import order_map, relabelled
@@ -198,6 +200,39 @@ def test_double_crossing_agrees_with_the_rebuild(name, monkeypatch):
         assert_spliced(out, rebuilt_double_crossing(d, a, b), ordered)
 
 
+def perturbed_quadrangulation() -> Drawing:
+    return perturb_even(random_quadrangulation(12, 1), 6, 2)[0]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_quadrangulation(13, 4),
+    lambda: pseudo_double_wheel(40),  # two apices of degree 40
+    perturbed_quadrangulation,
+    lambda: random_drawing(complete_graph(6), 1, "convex"),
+], ids=["quadrangulation", "double-wheel", "perturbed", "convex-K6"])
+def test_diagonals_agree_with_the_rebuild(make, monkeypatch):
+    d = make()
+    calls = counting_from_routes(monkeypatch)
+    out = add_diagonals(d)
+    assert calls == []
+    monkeypatch.undo()
+    assert_spliced(out, rebuilt_diagonals(d), True)
+
+
+def test_diagonals_skip_faces_with_crossing_corners():
+    d = perturbed_quadrangulation()
+    out = add_diagonals(d)
+    assert out.graph.m > d.graph.m
+    assert set(out.graph.vertices) == set(d.graph.vertices)
+    assert out.validate() == []
+    assert all(len(out.rotation[c]) == 4 for c in out.crossing_nodes())
+
+
+def test_diagonals_leave_an_edgeless_drawing_as_it_is():
+    for d in (Drawing.empty(), Drawing.crossing_free(Multigraph((0, 1, 2), ()), {0: (), 1: (), 2: ()})):
+        assert add_diagonals(d) is d
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_chained_edits_agree_with_chained_rebuilds(seed):
     """An explorer-like walk: pokes, reroutes under the removed id, new
@@ -245,13 +280,13 @@ def test_pokes_after_removals_agree_with_the_rebuild(seed):
         assert_spliced(out, ref, True)
 
 
-def test_removal_carries_faces_and_odd_degrees():
+def test_removal_carries_faces():
     for d in sources().values():
         d.faces(), d.crossing_stats()
         for eid in d.graph.edge_ids()[:6]:
             out = d.remove_edges({eid})
             # The faces are patched from the source's on first read.
-            assert out._face_source is not None and out._odd_deg is not None
+            assert out._face_source is not None
             again = lazy(out)
             assert out.faces() == again.faces()
             assert out._odd_degrees() == again._odd_degrees()
