@@ -31,7 +31,7 @@ Two conventions are load-bearing everywhere:
 """
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -89,9 +89,12 @@ class Drawing:
     read-only; copy them to edit.
 
     :meth:`from_routes` and :meth:`canonicalize` give canonical dart and
-    crossing ids.  Inherited drawings (:meth:`remove_edges`,
-    :meth:`induced_subdrawing`) keep their parent's ids for whatever
-    survives, in the same relative order.
+    crossing ids, and are the only source of compact ones.  Inherited
+    drawings (:meth:`remove_edges`, :meth:`induced_subdrawing`) keep their
+    parent's ids for whatever survives, in the same relative order.
+    Surgery keeps every old id too and gives new darts and crossings free
+    ids in between, in canonical relative order: from a canonical parent,
+    ids are ordered as a rebuild orders them but are not compact.
     """
 
     __slots__ = (
@@ -606,9 +609,9 @@ class Drawing:
         the faces, face starts and rotation starts come in the order that
         canonical renumbering would give.  Only the rotations at the
         removed edges' endpoints are re-normalized.  The route view (node
-        ids unchanged) and the passes are carried over, and so are the
-        crossing counts and faces already computed; the faces through a
-        dropped dart merge and are traced on first read."""
+        ids unchanged), the segment map and the passes are carried over,
+        and so are the crossing counts and faces already computed; the
+        faces through a dropped dart merge and are traced on first read."""
         removed = set(edge_set)
         if not removed:
             return self
@@ -651,16 +654,21 @@ class Drawing:
                 theta[path[i + 1]] = path[i]
             edge_paths[e] = tuple(path)
             new_routes[e] = tuple(kept)
-        for x in gone:
-            del theta[x], node[x]
-        new_vrot = vrot.copy()
         seg = self.segment_of_dart()
+        new_seg = seg.copy()
+        for x in gone:
+            del theta[x], node[x], new_seg[x]
+        for e in touched - removed:
+            for i, x in enumerate(edge_paths[e]):
+                new_seg[x] = (e, i // 2, not i % 2)
+        new_vrot = vrot.copy()
         for v in ends:
             rot = rotation[v] = _norm_cyclic(tuple(x for x in rotation[v] if x not in gone))
             new_vrot[v] = _endings(seg, rot)
 
         d = Drawing.__new__(Drawing)
         d._adopt(graph, rotation, theta, edge_paths, node, self._top)
+        d._segments = MappingProxyType(new_seg)
         d._passes = {c: p for c, p in passes.items() if c not in dead}
         _repass(d._passes, new_routes, touched - removed)
         d._routes = (
@@ -770,16 +778,21 @@ def _repass(passes: dict, routes, touched) -> None:
         passes[c] = tuple(sorted(ps + [p for p in passes.get(c, ()) if p[0] not in touched]))
 
 
-def _walk(rotation, theta, node, x: int) -> list[int]:
-    """The face cycle of ``sigma . theta`` through dart x, from x."""
+def _walk(rotation, theta, node, x: int, succ: dict) -> list[int]:
+    """The face cycle of ``sigma . theta`` through dart x, from x.
+    ``succ`` caches sigma, dart to clockwise successor, filled one whole
+    rotation at a time as the walk reaches it, so each step is O(1)."""
     face = [x]
     for _ in theta:
         y = theta[face[-1]]
-        rot = rotation[node[y]]
-        y = rot[(rot.index(y) + 1) % len(rot)]
-        if y == x:
+        z = succ.get(y)
+        if z is None:
+            rot = rotation[node[y]]
+            succ.update(zip(rot, rot[1:] + rot[:1]))
+            z = succ[y]
+        if z == x:
             return face
-        face.append(y)
+        face.append(z)
     raise ValueError(f"the face walk from dart {x} does not close")
 
 
@@ -789,21 +802,61 @@ def _reface(faces: list, d: Drawing, seeds, edited, starts=None) -> None:
     the faces of the ``edited`` map (rotation, theta, node) through the
     ``starts`` darts, by default the replaced faces' darts but the seeds."""
     stale: set[int] = set()
-    dirty = []
+    dirty, succ = [], {}
     for x in seeds:
         if x not in stale:
-            cycle = _walk(d.rotation, d.theta, d._dart_node, x)
+            cycle = _walk(d.rotation, d.theta, d._dart_node, x, succ)
             stale.update(cycle)
             dirty.append(bisect_left(d._faces, (min(cycle),)))
     for i in sorted(dirty, reverse=True):
         del faces[i]
     seen: set[int] = set()
+    succ = {}
     for x in stale.difference(seeds) if starts is None else starts:
         if x not in seen:
-            cycle = _walk(*edited, x)
+            cycle = _walk(*edited, x, succ)
             seen.update(cycle)
             i = cycle.index(min(cycle))
             insort(faces, tuple(cycle[i:] + cycle[:i]))  # from its least dart
+
+
+# Surgery's ids (see ``surgery._splice``): new darts and crossings take
+# free ids between old ones, and a respace leaves this many ids from each
+# id to the next, so that later splices find room instead of renaming.
+STRIDE = 1 << 20
+
+
+def _spread(gaps: dict, taken) -> dict | None:
+    """An iterator over fresh ids for ``gaps[lo, hi]`` new items in each
+    open gap (lo, hi) of old ids (hi None: no upper limit), evenly spaced
+    and ascending, or None when a gap has no room or an id is ``taken``
+    or given to another gap (gaps overlap only where old ids are out of
+    canonical order)."""
+    out, fresh = {}, set()
+    for (lo, hi), k in gaps.items():
+        step = STRIDE if hi is None else (hi - lo) // (k + 1)
+        ids = range(lo + step, lo + (k + 1) * step, step) if step > 0 else None
+        if ids is None or not taken.isdisjoint(ids) or not fresh.isdisjoint(ids):
+            return None
+        fresh.update(ids)
+        out[lo, hi] = iter(ids)
+    return out
+
+
+def _respace(old, gaps: dict, base: int) -> tuple[dict, dict]:
+    """Number the old ids and ``gaps[lo, hi]`` new ones per gap, placed
+    right before hi (after every old id when hi is None), base + rank x
+    STRIDE with ranks from 1: the old ids' renaming, and an iterator over
+    each gap's new ids."""
+    order = sorted(old)
+    at = sorted((len(order) if gap[1] is None else bisect_left(order, gap[1]), i, gap) for i, gap in enumerate(gaps))
+    before = [p for p, _, gap in at for _ in range(gaps[gap])]  # each new id's place among the old
+    rename = {x: base + (i + bisect_right(before, i) + 1) * STRIDE for i, x in enumerate(order)}
+    ids, t = {}, 0
+    for p, _, gap in at:
+        ids[gap] = iter(range(base + (p + t + 1) * STRIDE, base + (p + t + gaps[gap] + 1) * STRIDE, STRIDE))
+        t += gaps[gap]
+    return rename, ids
 
 
 def merge_disjoint(drawings: list[Drawing]) -> Drawing:

@@ -97,17 +97,19 @@ class Multigraph:
         return g
 
     def _plus(self, vertices: tuple[int, ...], edges: tuple[tuple[int, tuple[int, int]], ...]) -> "Multigraph":
-        """This graph plus new vertices and checked edges, each in id order:
-        appended as they are when above every old id, else rebuilt."""
+        """This graph plus new vertices and edges that the caller checked
+        (fresh ids, known endpoints), each in id order: merged into the
+        sorted ones without a second check."""
         vs, es = self.vertices + vertices, self.edges + edges
-        if (vertices and self.vertices and vertices[0] <= self.vertices[-1]) or (
-                edges and self.edges and edges[0][0] <= self.edges[-1][0]):
-            return Multigraph(vs, es)
+        if vertices and self.vertices and vertices[0] <= self.vertices[-1]:
+            vs = tuple(sorted(vs))
+        if edges and self.edges and edges[0][0] <= self.edges[-1][0]:
+            es = tuple(sorted(es))
         g = object.__new__(Multigraph)
         object.__setattr__(g, "vertices", vs)
         object.__setattr__(g, "edges", es)
-        object.__setattr__(g, "_ends", {**self._ends, **dict(edges)})
-        object.__setattr__(g, "_eids", self._eids + tuple(e for e, _ in edges))
+        object.__setattr__(g, "_ends", dict(es))
+        object.__setattr__(g, "_eids", tuple(g._ends))
         return g
 
     def components(self) -> list[tuple[int, ...]]:

@@ -16,18 +16,22 @@ from, and ``spin`` turns that side into the stored bit.
 
 The three edits check their arguments (a malformed one is a ValueError)
 and, with ``add_diagonals``, patch copies of the map through one kernel,
-``_splice``: new darts and crossings take a canonical rebuild's ids,
-later ids move up, and every view of the input, faces included, is
-carried (counts and odd degrees only when no crossing is added).
+``_splice``, and every view of the input, faces included, is carried
+(counts and odd degrees only when no crossing is added).  New darts and
+crossings take free ids between the old ids where a canonical rebuild
+puts them, so no old id changes: spliced ids keep their canonical
+relative order but are not compact.  Only a gap without room makes the
+kernel respace every id once, ``drawing.STRIDE`` apart.
 """
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import islice
 from types import MappingProxyType
 
-from .drawing import Drawing, Ending, _crossing, _endings, _norm_cyclic, _reface, _repass, spin
+from .drawing import Drawing, Ending, _crossing, _endings, _norm_cyclic, _reface, _repass, _respace, _spread, spin
 from .graphs import Multigraph
 
 
@@ -37,44 +41,63 @@ def _splice(d: Drawing, vertex, edges, ends, routes, splices, spins) -> Drawing:
     maps each new ending to the dart it goes before (None: at a vertex
     without darts, listed clockwise); ``routes`` (new edge -> keys) and
     ``splices`` ((edge, segment) -> keys) list new crossings in travel
-    order, ``spins`` their bits.  The caller checks the arguments.  Only
-    the faces through an edited corner or split segment are traced."""
+    order, ``spins`` their bits.  The caller checks the arguments.
+
+    New darts and crossings take free ids between the old ids where a
+    rebuild would put them, so no old id changes and the ids keep their
+    canonical relative order, though they are not compact.  Only when a
+    gap has no room (as right after :meth:`Drawing.from_routes`) does
+    :func:`_respace` renumber every dart or crossing once.  Only the faces
+    through an edited corner or split segment are traced."""
     new_v = () if vertex is None else (vertex,)
     graph = d.graph._plus(new_v, tuple(edges)) if edges or new_v else d.graph
     old, rot0, theta0, node0 = d.edge_paths, d.rotation, d.theta, d._dart_node
     vrot, routes0, spins0 = d.route_view()
     passes0, faces0, seg0 = d.crossing_passes(), d.faces(), d.segment_of_dart()
 
-    # Each slot of new darts goes right after an anchor dart: a new edge
-    # after the last dart of the edge before it, a splice after the
-    # forward dart of its segment.  Old darts move up past lower slots.
-    eids, slots = d.graph.edge_ids(), []
+    # Each slot of new darts goes into a gap of dart ids: a split segment
+    # into the gap between its two darts, new edges into the gap between
+    # the edges beside them by id (no upper limit after the last one).
+    eids, slots, gaps = d.graph.edge_ids(), [], {}
     for e, _ in edges:
         i = bisect_left(eids, e)
-        slots.append((old[eids[i - 1]][-1] if i else min(theta0, default=0) - 1, e, 2 * len(routes[e]) + 2))
-    slots += [(old[g][2 * q], (g, q), 2 * len(keys)) for (g, q), keys in splices.items()]
-    anchors, made, ins = [], {}, {}
-    for a, slot, size in sorted(slots):
-        made[slot] = range(a + len(anchors) + 1, a + len(anchors) + 1 + size)
-        anchors += [a] * size
-    dm = {}  # old dart -> its new id, for the darts that move
-    if anchors and anchors[0] < d._top:
-        dm = {x: x + bisect_left(anchors, x) for x in theta0 if x > anchors[0]}
+        hi = old[eids[i]][0] if i < len(eids) else None
+        lo = old[eids[i - 1]][-1] if i else -1
+        slots.append(((lo, hi), e, 2 * len(routes[e]) + 2))
+    slots += [((old[g][2 * q], old[g][2 * q + 1]), (g, q), 2 * len(keys)) for (g, q), keys in splices.items()]
+    for gap, _, size in slots:
+        gaps[gap] = gaps.get(gap, 0) + size
+    dm, placed = {}, _spread(gaps, theta0.keys())
+    if placed is None:
+        dm, placed = _respace(theta0, gaps, 0)
     dget = dm.get
+    made = {slot: list(islice(placed[gap], size)) for gap, slot, size in slots}
 
-    # Crossing nodes are renumbered above the vertices in least-dart
-    # order, only when new ones come or a new vertex reaches their ids.
+    # New crossings likewise go between their neighbours in least-dart
+    # order, above every vertex; a new vertex at or above a crossing id
+    # renumbers the crossings.
+    ins: dict = {}
     for slot, keys in {**routes, **splices}.items():
         k = 0 if isinstance(slot, tuple) else 1
         for j, key in enumerate(keys):
             ins.setdefault(key, []).append(made[slot][k + 2 * j : k + 2 * j + 2])  # (in, out)
-    nm, node_of = {}, {}
-    if ins or (new_v and spins0 and next(iter(spins0)) <= vertex):
-        least = [(dget(x, x), True, c) for c in spins0 for x in [min(rot0[c])]]
-        least += [(min(p[0] for p in ps), False, key) for key, ps in ins.items()]
-        for i, (_, was, c) in enumerate(sorted(least), graph.vertices[-1] + 1):
-            (nm if was else node_of)[c] = i
-        nm = {c: n for c, n in nm.items() if n != c}
+    nm, node_of, cgaps = {}, {}, {}
+    if ins or (new_v and spins0):
+        cross, top_v, at = sorted(spins0), graph.vertices[-1], []
+
+        def least(c):
+            x = min(rot0[c])
+            return dget(x, x)
+
+        for x, key in sorted((min(p[0] for p in ps), key) for key, ps in ins.items()):
+            i = bisect_left(cross, x, key=least)
+            gap = (cross[i - 1] if i else top_v, cross[i] if i < len(cross) else None)
+            cgaps[gap] = cgaps.get(gap, 0) + 1
+            at.append((key, gap))
+        placed = None if new_v and cross and cross[0] <= vertex else _spread(cgaps, rot0.keys())
+        if placed is None:
+            nm, placed = _respace(cross, cgaps, top_v)
+        node_of = {key: next(placed[gap]) for key, gap in at}
     nget = nm.get
 
     def darts(t):  # t with its darts renamed; t itself when none moves
@@ -135,14 +158,24 @@ def _splice(d: Drawing, vertex, edges, ends, routes, splices, spins) -> Drawing:
     new = [x for r in made.values() for x in r]
     _reface(faces, d, seeds, (rotation, theta, node), new)
 
-    # The views and paths in id order, as a rebuild lists them; appends
-    # keep it so.  (No reader depends on the order of the map's dicts.)
-    if dm or nm or (new_v and vertex != graph.vertices[-1]):
-        paths, seg, vrot, new_routes, new_spins, passes = (
-            {k: m[k] for k in sorted(m)} for m in (paths, seg, vrot, new_routes, new_spins, passes)
-        )
+    # The views and paths in id order, as a rebuild lists them.  Renaming
+    # keeps the order and appends keep it too; only a view that gained a
+    # key below an old one is sorted again.  (No reader depends on the
+    # order of the map's dicts.)
+    def in_order(m):
+        return {k: m[k] for k in sorted(m)}
+
+    if edges and eids and edges[0][0] < eids[-1]:
+        paths, new_routes = in_order(paths), in_order(new_routes)
+    if any(hi is not None for _, hi in gaps):
+        seg = in_order(seg)
+    if new_v and vertex != graph.vertices[-1]:
+        vrot = in_order(vrot)
+    if any(hi is not None for _, hi in cgaps):
+        new_spins, passes = in_order(new_spins), in_order(passes)
+    top = max([max(dm.values()) if dm else d._top, *(r[-1] for r in made.values())])
     out = Drawing.__new__(Drawing)
-    out._adopt(graph, rotation, theta, paths, node, d._top + bisect_right(anchors, d._top))
+    out._adopt(graph, rotation, theta, paths, node, top)
     out._segments, out._passes, out._faces = MappingProxyType(seg), passes, tuple(faces)
     out._routes = (MappingProxyType(vrot), MappingProxyType(new_routes), MappingProxyType(new_spins))
     if not node_of:  # no new crossing: the counts stand
@@ -160,6 +193,8 @@ def insert_vertex_in_face(d: Drawing, face: tuple[int, ...], corner_positions: l
     vrot = d.route_view()[0]
     if new_vid in vrot:
         raise ValueError(f"vertex id {new_vid} already in use")
+    if not d.edge_paths.keys().isdisjoint(range(first_eid, first_eid + len(corner_positions))):
+        raise ValueError("edge id already in use")
     face, faces = tuple(face), d.faces()
     i = bisect_left(faces, (min(face),)) if face else 0
     if faces[i : i + 1] != (_norm_cyclic(face),):
@@ -190,8 +225,8 @@ def route_edge(d: Drawing, eid: int, u: int, v: int,
     at u and v (None only for an isolated endpoint).  Each segment may be
     crossed at most once per call.  Each face on the way splits in two; a
     route that does not chain through faces is a ValueError.  Ids and
-    carried views follow the splice contract above; an ``eid`` below the
-    largest id moves every later dart up.
+    carried views follow the splice contract above, also for an ``eid``
+    below the largest id.
     """
     vrot = d.route_view()[0]
     seg_of = d.segment_of_dart()
@@ -310,7 +345,7 @@ def double_crossing_move(d: Drawing, dart_a: int, dart_b: int) -> tuple[Drawing,
     back; both darts must lie on the same face and on distinct edges.  The
     crossing count of that pair grows by exactly two, parities unchanged,
     and the lens between the two new crossings becomes a face.  Both new
-    crossings are spliced into existing edges, so later ids move up."""
+    crossings are spliced into the gaps of existing segments."""
     face_of = d.face_of_dart()
     if dart_a not in face_of or dart_b not in face_of:
         raise ValueError("unknown dart")

@@ -77,9 +77,9 @@ def perturbed():
 
 
 def spliced() -> list[Drawing]:
-    """Surgery that moves ids: a reroute under the id it just freed, an
-    edge below the largest id, a poke of a self-crossing drawing, and a
-    vertex dropped into a drawing with crossings."""
+    """Surgery that places ids between old ones: a reroute under the id it
+    just freed, an edge below the largest id, a poke of a self-crossing
+    drawing, and a vertex dropped into a drawing with crossings."""
     d = perturbed()[0]
     u, v = d.graph.endpoints(4)
     base = d.remove_edges({4})

@@ -9,6 +9,11 @@ Every view the edit carries must equal the view the raw constructor
 derives lazily from the spliced map.  No edit builds a drawing through
 ``from_routes``, and growing a triangulation or a quadrangulation traces
 all faces a bounded number of times, not once per step.
+
+Spliced ids keep their canonical relative order but are not compact: new
+ids go into the gaps between old ones, and only a gap without room
+renumbers the map (``_respace``).  The corpus holds parents with such
+gapped ids, and a search renumbers a bounded number of times.
 """
 from __future__ import annotations
 
@@ -18,8 +23,10 @@ from functools import cache
 import pytest
 
 from oddplanar import Drawing, Multigraph, complete_graph
+from oddplanar import surgery
 from oddplanar.docio import serialize_drawing
-from oddplanar.oracle import _entangle_options, perturb_even, random_drawing
+from oddplanar.drawing import STRIDE
+from oddplanar.oracle import EnumerationBudget, _entangle_options, extremal_search, perturb_even, random_drawing
 from oddplanar.surgery import (
     add_diagonals,
     double_crossing_move,
@@ -40,6 +47,29 @@ from test_explore_kernels import self_crossing_drawing
 from test_remove_edges import order_map, relabelled
 
 
+def search_walk(seed: int, steps: int = 20) -> Drawing:
+    """Search-style edits on a perturbed triangulation: pokes, and reroutes
+    of an edge under its own id, so the ids end up in gaps."""
+    rng = random.Random(seed)
+    d = perturb_even(random_planar_triangulation(10, seed), 2, seed)[0]
+    for step in range(steps):
+        if step % 2:
+            d = double_crossing_move(d, *rng.choice(_entangle_options(d)))[0]
+        else:
+            eid = rng.choice(d.graph.edge_ids())
+            u, v = d.graph.endpoints(eid)
+            base = d.remove_edges({eid})
+            d = route_edge(base, eid, u, v, *shortest_dual_path(base, u, v, rng))
+    return d
+
+
+def respaced() -> Drawing:
+    """A poke on a compact drawing: no gap has room, so every id is
+    renumbered to a multiple of the stride."""
+    d = perturb_even(random_planar_triangulation(12, 7), 2, 7)[0].canonicalize()
+    return double_crossing_move(d, *_entangle_options(d)[0])[0]
+
+
 @cache
 def sources() -> dict[str, Drawing]:
     tri = random_planar_triangulation(14, 3)
@@ -56,7 +86,21 @@ def sources() -> dict[str, Drawing]:
         "figure-eight": figure_eight().disjoint_union(k5_one_crossing()),
         "lens": lens_pair(),
         "relabelled": relabelled(perturb_even(random_planar_triangulation(8, 6), 3, 6)[0]),
+        "respaced": respaced(),
+        "search-walk": search_walk(4),
     }
+
+
+def counting_respaces(monkeypatch) -> list:
+    calls = []
+    original = surgery._respace
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(surgery, "_respace", counting)
+    return calls
 
 
 def counting_from_routes(monkeypatch) -> list:
@@ -267,7 +311,7 @@ def test_chained_edits_agree_with_chained_rebuilds(seed):
 @pytest.mark.parametrize("seed", range(70, 90))
 def test_pokes_after_removals_agree_with_the_rebuild(seed):
     """Removals leave gaps below the dart bound; pokes near the top must
-    still move every dart above them."""
+    still place their darts between the right neighbours."""
     out = ref = random_planar_drawing(4 + seed % 7, seed, deletions=seed % 4)
     rng = random.Random(seed)
     for _ in range(4):
@@ -291,6 +335,14 @@ def test_removal_carries_faces():
             assert out.faces() == again.faces()
             assert out._odd_degrees() == again._odd_degrees()
             assert rebuilt_without(d, {eid}) == out
+
+
+def test_removal_carries_the_segment_map():
+    for d in sources().values():
+        for eid in d.graph.edge_ids()[:6]:
+            out = d.remove_edges({eid})
+            assert out._segments is not None
+            assert list(out.segment_of_dart().items()) == list(lazy(out).segment_of_dart().items())
 
 
 def test_edits_leave_their_input_unchanged():
@@ -319,6 +371,105 @@ def test_growth_traces_and_rebuilds_a_bounded_number_of_times(grow, n, monkeypat
         d = grow(n, seed)
         assert d.graph.n == n
     assert len(calls) <= 2 and len(traces) <= 2
+
+
+# ---------------------------------------------------------------------------
+# Ids in gaps
+# ---------------------------------------------------------------------------
+
+
+def test_the_gapped_sources_have_gapped_ids():
+    d = sources()["respaced"]
+    assert all(x % STRIDE == 0 for x in d.theta)
+    crossings = d.crossing_nodes()
+    assert [c - max(d.graph.vertices) for c in crossings] == [STRIDE * (i + 1) for i in range(len(crossings))]
+    walked = sorted(sources()["search-walk"].theta)
+    assert walked[-1] > STRIDE and min(b - a for a, b in zip(walked, walked[1:])) < STRIDE
+
+
+def test_pokes_into_one_shrinking_gap_respace_and_agree_with_the_rebuild(monkeypatch):
+    """Poke the lens a poke leaves, again and again: each poke splits the
+    middle segments of the last one, so their gap shrinks until it has no
+    room and the map is respaced."""
+    calls = counting_respaces(monkeypatch)
+    out = ref = sources()["search-walk"]
+    a, b = _entangle_options(out)[0]
+    for _ in range(30):
+        dmap = order_map(out.theta, ref.theta)
+        out, rec = double_crossing_move(out, a, b)
+        ref = rebuilt_double_crossing(ref, dmap[a], dmap[b])
+        assert_spliced(out, ref, True)
+        if calls:
+            break
+        # The lens between the two new crossings: one side is the middle
+        # segment of each poked edge.
+        face_of = out.face_of_dart()
+        pa, pb = out.edge_paths[rec.edge_a], out.edge_paths[rec.edge_b]
+        qa, qb = 2 * rec.route_pos_a + 2, 2 * rec.route_pos_b + 2
+        a, b = next((x, y) for x in pa[qa : qa + 2] for y in pb[qb : qb + 2] if face_of[x] == face_of[y])
+    assert len(calls) == 1
+
+
+def test_a_splice_into_gaps_leaves_untouched_darts_alone(monkeypatch):
+    calls = counting_respaces(monkeypatch)
+    d = sources()["search-walk"]
+    rng = random.Random(5)
+    seg = d.segment_of_dart()
+    for a, b in rng.sample(_entangle_options(d), 6):
+        out = double_crossing_move(d, a, b)[0]
+        edited = {seg[a][0], seg[b][0]}
+        kept = [x for x in d.theta if seg[x][0] not in edited]
+        assert kept
+        for x in kept:
+            assert out.theta[x] == d.theta[x]
+            assert out.dart_node(x) == d.dart_node(x)
+            assert out.segment_of_dart()[x] == seg[x]
+        assert {c: out.rotation[c] for c in d.crossing_nodes()} == {c: d.rotation[c] for c in d.crossing_nodes()}
+    assert calls == []
+
+
+def shuffled(d: Drawing, seed: int) -> Drawing:
+    """The same map with its dart and crossing ids permuted at random,
+    through the raw constructor, so the gaps between ids overlap."""
+    rng = random.Random(seed)
+    darts = sorted(d.theta)
+    dmap = dict(zip(darts, rng.sample(darts, len(darts))))
+    top = max(d.graph.vertices)
+    cross = [n for n in d.rotation if n not in d.graph.vertices]
+    ids = rng.sample(range(top + 1, top + 1 + 3 * len(cross)), len(cross))
+    nmap = {n: n for n in d.graph.vertices} | dict(zip(cross, ids))
+    return Drawing(
+        d.graph,
+        {nmap[n]: tuple(dmap[x] for x in r) for n, r in d.rotation.items()},
+        {dmap[a]: dmap[b] for a, b in d.theta.items()},
+        {e: tuple(dmap[x] for x in p) for e, p in d.edge_paths.items()},
+    )
+
+
+@pytest.mark.parametrize("seed", [9, 11, 17, 34])
+def test_splices_on_ids_out_of_order_stay_valid(seed):
+    """Ids out of canonical order give overlapping gaps: no two new darts
+    may take the same free id (on these seeds some poke's two gaps
+    overlap)."""
+    d = shuffled(perturb_even(random_planar_triangulation(9, seed), 3, seed)[0], seed)
+    for a, b in _entangle_options(d):
+        out = double_crossing_move(d, a, b)[0]
+        assert out.validate() == [] and out == rebuilt_double_crossing(d, a, b)
+    rng = random.Random(seed)
+    for eid in rng.sample(d.graph.edge_ids(), 3):
+        u, v = d.graph.endpoints(eid)
+        base = d.remove_edges({eid})
+        case = (base, eid, u, v, *shortest_dual_path(base, u, v, rng))
+        out = route_edge(*case)
+        assert out.validate() == [] and out == rebuilt_route_edge(*case)
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+def test_a_search_respaces_a_bounded_number_of_times(seed, monkeypatch):
+    calls = counting_respaces(monkeypatch)
+    res = extremal_search(1, 24, EnumerationBudget(max_candidates=300), seed)
+    assert res.proposals == 300 and res.accepted > 50
+    assert len(calls) <= 2
 
 
 # ---------------------------------------------------------------------------
