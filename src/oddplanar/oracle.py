@@ -4,9 +4,10 @@ Exact values of the crossing-number variants of tiny graphs, seeded
 random drawing generators, and a stochastic explorer for dense drawings
 with bounded odd crossings per edge.
 
-Exact values do not touch the redrawing machinery.  They decide each
-crossing-pair multiset with planarity tests: one per choice of per-edge
-crossing orders, on the planarization with a wheel around every
+Exact values do not touch the redrawing machinery.  They refute a
+crossing-pair multiset by counting or by Kleitman's parity screen where
+they can, and decide the rest with planarity tests: one per choice of
+per-edge crossing orders, on the planarization with a wheel around every
 crossing.  A positive verdict is built as one drawing and validated.
 Drawings whose edges cross themselves are not considered: smoothing a
 self-crossing preserves every pairwise crossing count exactly, so no
@@ -16,8 +17,9 @@ Budgets count planarity tests for exact values and proposals for the
 search.  An exact value keeps one counter of planarity tests, checked at
 each test, so the candidate limit is enforced deterministically; the time
 limit, checked at the same point, is a safety net and should not be used
-to pin down results.  Counting spends no test, so even a zero candidate
-budget refutes every multiset smaller than the counting bound.
+to pin down results.  Counting and the screen spend no test, so even a
+zero candidate budget refutes every multiset smaller than the counting
+bound, and every multiset the screen rejects.
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, permutations, product
+from itertools import combinations, combinations_with_replacement, islice, permutations, product
 from math import comb
 
 from .bounds import BoundReport, audit_drawing, modd_upper
@@ -48,15 +50,19 @@ from .svg import ccw_key
 # start and its list of absent vertex pairs grow as n^2.
 MULTISET_LIMIT = 2_000_000
 SEARCH_N_LIMIT = 2_000
+# The parity screen lists at most this many K5 and K3,3 subgraphs.  Any
+# subset of them screens soundly, and K_{3,n} alone has C(n, 3).
+OBSTRUCTION_LIMIT = 256
 
 
 class BudgetExceeded(Exception):
     """The candidate or time budget ran out at a planarity test.
     ``lower_bound`` is set by :func:`exact_crossing_value` to the value
     being tested: every smaller value is already refuted within the
-    crossing budget, by counting or by earlier tests.  Counting spends
-    no test, so even a zero candidate budget reports what counting alone
-    proves (None where nothing is proved)."""
+    crossing budget, by counting, by the parity screen or by earlier
+    tests.  Counting and the screen spend no test, so even a zero
+    candidate budget reports what they alone prove (None where nothing
+    is proved)."""
 
     def __init__(self, message: str, lower_bound: int | None = None) -> None:
         super().__init__(message)
@@ -83,7 +89,8 @@ class EnumerationBudget:
 @dataclass(frozen=True)
 class LowerBoundOnly:
     """Every admissible crossing-pair multiset within the crossing budget
-    was refuted, by counting or by planarity tests, so no admissible
+    was refuted, by counting, by the parity screen or by planarity
+    tests, so no admissible
     drawing has fewer than ``bound`` crossings.  For the plain crossing
     number this bounds the true value below by ``bound``; for the pair
     and odd variants it only certifies the tested range."""
@@ -273,6 +280,72 @@ def _counting_lower_bound(g: Multigraph) -> int:
     return max(bound, 0)
 
 
+def _kleitman_obstructions(g: Multigraph) -> list[tuple[int, ...]]:
+    """The edge ids of K5 and K3,3 subgraphs of the simple graph g, each
+    sorted, the first ``OBSTRUCTION_LIMIT`` of them in a fixed order.
+
+    Vertices are ranked by (degree, id), and each subgraph is found once,
+    from its lowest-ranked vertex x.  All its other vertices rank above x,
+    so degrees below 4 (for K5) or 3 (for K3,3) end the search at x.  A K5
+    is x and a 4-clique of its higher neighbours, grown through common
+    neighbourhoods.  A K3,3 has x's part A and the other part B: B is a
+    triple of x's higher neighbours, and the rest of A is a pair of
+    vertices ranked above x in the common neighbourhood of B.  The
+    higher neighbours of a vertex all have at least its degree, so there
+    are at most sqrt(2m) of them, even next to a hub: each rim vertex of
+    a wheel has three."""
+    nbrs: dict[int, set[int]] = {v: set() for v in g.vertices}
+    eid_of: dict[tuple[int, int], int] = {}
+    for e, (u, v) in g.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+        eid_of[u, v] = eid_of[v, u] = e
+    order = sorted(g.vertices, key=lambda v: (len(nbrs[v]), v))
+    rank = {v: i for i, v in enumerate(order)}
+
+    def listing():
+        for x in order:
+            if len(nbrs[x]) < 3:
+                continue
+            up = sorted((w for w in nbrs[x] if rank[w] > rank[x]), key=rank.__getitem__)
+            if len(nbrs[x]) >= 4:
+                for i, a in enumerate(up):
+                    on_a = [w for w in up[i + 1 :] if w in nbrs[a]]
+                    for j, b in enumerate(on_a):
+                        on_ab = [w for w in on_a[j + 1 :] if w in nbrs[b]]
+                        for k, c in enumerate(on_ab):
+                            for d in on_ab[k + 1 :]:
+                                if d in nbrs[c]:
+                                    yield tuple(sorted(eid_of[p] for p in combinations((x, a, b, c, d), 2)))
+            for part in combinations(up, 3):
+                common = nbrs[part[0]] & nbrs[part[1]] & nbrs[part[2]]
+                rest = sorted((w for w in common if rank[w] > rank[x]), key=rank.__getitem__)
+                for pair in combinations(rest, 2):
+                    yield tuple(sorted(eid_of[a, b] for a in (x, *pair) for b in part))
+
+    return list(islice(listing(), OBSTRUCTION_LIMIT))
+
+
+def _kleitman_masks(g: Multigraph) -> tuple[dict[tuple[int, int], int], int]:
+    """Kleitman's parity screen (JCTB 1976): in every drawing of K5 or
+    K3,3, independent edges cross an odd number of times in all.  A
+    drawing of g restricts to one of each such subgraph H, so a
+    realizable crossing multiset has an odd count of entries (e, f) with
+    e, f independent edges of H, whatever the variant and the rule.
+
+    Bit i of ``masks[(e, f)]`` (absent means 0) is set iff e < f are
+    independent edges of the i-th listed subgraph, and ``full`` sets one
+    bit per listed subgraph, so a multiset whose entries' masks do not
+    XOR to ``full`` is not realizable."""
+    obstructions = _kleitman_obstructions(g)
+    masks: dict[tuple[int, int], int] = {}
+    for i, edges in enumerate(obstructions):
+        for p in combinations(edges, 2):
+            if not g.adjacent(*p):
+                masks[p] = masks.get(p, 0) | 1 << i
+    return masks, (1 << len(obstructions)) - 1
+
+
 def _crossing_orders(e: int, cids: list[int], multiset: tuple[tuple[int, int], ...]):
     """The orders of crossings ``cids`` along edge e that
     :func:`_planarization_witness` tests.  Crossings with the same edge
@@ -364,12 +437,17 @@ def exact_crossing_value(
     """Minimum of the chosen crossing-number variant over all drawings
     admissible under the rule with at most ``budget.max_crossings``
     crossings.  The value is exact whenever the true optimum is attained
-    within the crossing budget (the caller chooses the budget); each
-    multiset is decided exactly by :func:`_planarization_witness`.
-    Returns LowerBoundOnly when no admissible multiset within the
-    crossing budget is realizable.  When the budget runs out while
-    multisets of value v are tested, the raised BudgetExceeded carries v
-    as its ``lower_bound``: every smaller value has been refuted.
+    within the crossing budget (the caller chooses the budget).
+    Multisets below the counting bound, and those that give some listed
+    K5 or K3,3 subgraph an even count of independent crossings
+    (:func:`_kleitman_masks`), are refuted without a test and never
+    stored; each other multiset is decided exactly by
+    :func:`_planarization_witness`.  Returns LowerBoundOnly when no
+    admissible multiset within the crossing budget is realizable.  The
+    candidate budget counts only the planarity tests that run.  When it
+    runs out while multisets of value v are tested, the raised
+    BudgetExceeded carries v as its ``lower_bound``: every smaller value
+    has been refuted.
 
     Candidate multisets are processed serially in (value, multiset) order
     with pruning, so the search stops as soon as no better value is
@@ -398,12 +476,16 @@ def exact_crossing_value(
         if tests > budget.max_candidates:
             raise BudgetExceeded("candidate budget exhausted", val)
 
-    # Multisets smaller than the counting bound are refuted without a test.
-    # The empty multiset would sort first with value 0 under every variant
-    # and rule, so a planar verdict needs no candidate list; the m^2 edge
-    # pairs are listed only if some size survives.
+    # Multisets smaller than the counting bound are refuted without a test,
+    # and so is every multiset the parity screen rejects.  The empty
+    # multiset would sort first with value 0 under every variant and rule,
+    # so a planar verdict needs no candidate list; the m^2 edge pairs are
+    # listed only if some size survives.
     bound = _counting_lower_bound(g)
-    if bound == 0 and _planarization_witness(g, (), tick) is not None:
+    if bound > budget.max_crossings:
+        return LowerBoundOnly(budget.max_crossings + 1)
+    masks, full = _kleitman_masks(g)
+    if bound == 0 and not full and _planarization_witness(g, (), tick) is not None:
         return 0
     low = max(1, bound)
     if low > budget.max_crossings:
@@ -418,6 +500,11 @@ def exact_crossing_value(
     candidates: list[tuple[int, int, tuple]] = []
     for size in range(low, budget.max_crossings + 1):
         for multiset in combinations_with_replacement(pairs, size):
+            parity = 0
+            for p in multiset:
+                parity ^= masks.get(p, 0)
+            if parity != full:
+                continue
             key = _multiset_key(multiset, variant, rule, adjacent)
             if key is not None:
                 candidates.append((*key, multiset))

@@ -1,11 +1,11 @@
-"""Hand-built drawings reused across test modules.
+"""Hand-built drawings and graphs reused across test modules.
 
 Rotations were worked out on paper (clockwise, y axis up) and are pinned
 here; the validator's Euler check confirms each is a sphere drawing.
 """
 from __future__ import annotations
 
-from oddplanar import Drawing, Multigraph, complete_graph
+from oddplanar import Drawing, Multigraph, complete_bipartite, complete_graph
 
 
 def triangle() -> Drawing:
@@ -78,3 +78,13 @@ def lens_pair() -> Drawing:
     vrot = {0: ((0, 0),), 1: ((0, 1),), 2: ((1, 0),), 3: ((1, 1),)}
     routes = {0: ("a", "b"), 1: ("a", "b")}
     return Drawing.from_routes(g, vrot, routes, {"a": False, "b": True})
+
+
+def k33_subdivided() -> Multigraph:
+    """K3,3 with its last edge (2, 5) subdivided by vertex 6: nonplanar,
+    with no K5 or K3,3 subgraph, so the oracle's parity screen never
+    fires and every multiset costs planarity tests.  Under rule minus its
+    19 adjacent pairs have value 0, and the first independent pair (edges
+    0 and 4) is realizable."""
+    k33 = complete_bipartite(3, 3)
+    return Multigraph(tuple(range(7)), k33.edges[:-1] + ((8, (2, 6)), (9, (6, 5))))

@@ -22,7 +22,7 @@ from oddplanar.bounds import audit_drawing, sampling_experiment
 from oddplanar.cli import main
 from oddplanar import Multigraph, complete_graph
 from oddplanar.surgery import quadrangulation_with_diagonals
-from fixtures import figure_eight, k4_convex, k5_one_crossing, lens_pair, triangle
+from fixtures import figure_eight, k33_subdivided, k4_convex, k5_one_crossing, lens_pair, triangle
 
 
 # ---------------------------------------------------------------------------
@@ -364,20 +364,32 @@ def test_cli_oracle_budget_exceeded(capsys):
     assert rc == 3
 
 
-def test_cli_oracle_budget_exceeded_reports_the_proved_bound(capsys):
-    # 0 is refuted by counting and the 30 single adjacent crossings (value
-    # 0 under rule minus) by one planarity test each, then the budget is out
-    rc = main(["oracle", "K5", "--variant", "pcr", "--rule", "minus", "--budget", "candidates=30"])
+def test_cli_oracle_budget_exceeded_reports_the_proved_bound(tmp_path, capsys):
+    # 0 is refuted by one planarity test each for the empty multiset and
+    # the 19 single adjacent crossings (value 0 under rule minus), then the
+    # budget is out
+    p = tmp_path / "g.json"
+    p.write_bytes(serialize_graph(k33_subdivided()))
+    rc = main(["oracle", str(p), "--variant", "pcr", "--rule", "minus", "--budget", "candidates=20"])
     assert rc == 3
     out = capsys.readouterr().out
     assert json.loads(out) == {
-        "graph": {"n": 5, "m": 10},
+        "graph": {"n": 7, "m": 10},
         "variant": "pcr",
         "rule": "minus",
         "max_crossings": 1,
         "lower_bound": 1,
         "budget_exhausted": True,
     }
+
+
+def test_cli_oracle_parity_screen_refutes_without_a_test(capsys):
+    # K5's parity screen rejects every multiset of value 0 under rule minus,
+    # so value 0 is refuted at a zero budget
+    rc = main(["oracle", "K5", "--variant", "pcr", "--rule", "minus", "--budget", "candidates=0"])
+    assert rc == 3
+    out = json.loads(capsys.readouterr().out)
+    assert out["lower_bound"] == 1 and out["budget_exhausted"] is True
 
 
 @pytest.mark.parametrize("variant", ["cr", "pcr", "ocr"])

@@ -27,6 +27,7 @@ from oddplanar.surgery import (
 )
 
 from enumeration import enumerate_drawings
+from fixtures import k33_subdivided
 
 
 SMALL = EnumerationBudget(max_crossings=1, max_candidates=500_000, time_limit=120.0)
@@ -191,15 +192,14 @@ def test_planar_verdict_is_exact_without_enumeration():
 
 
 def test_budget_exhaustion_carries_the_refuted_range():
-    k5 = complete_graph(5)
-    # 0 is refuted by counting and by the 30 single adjacent crossings (one
-    # planarity test each), so the budget runs out while value 1 is tested
+    # 0 is refuted by 20 planarity tests: the empty multiset and the 19
+    # single adjacent crossings, so the budget runs out while value 1 is tested
     with pytest.raises(BudgetExceeded) as info:
-        exact_crossing_value(k5, "pcr", "minus", EnumerationBudget(1, 30, 60.0))
+        exact_crossing_value(k33_subdivided(), "pcr", "minus", EnumerationBudget(1, 20, 60.0))
     assert info.value.lower_bound == 1
     # with no budget at all only counting proves anything: it refutes
     # value 0 for K5 without a test, and nothing for the planar C4
-    for g, proved in ((k5, 1), (cycle_graph(4), 0)):
+    for g, proved in ((complete_graph(5), 1), (cycle_graph(4), 0)):
         with pytest.raises(BudgetExceeded) as info:
             exact_crossing_value(g, "cr", "zero", EnumerationBudget(1, 0, 60.0))
         assert info.value.lower_bound == proved
@@ -208,7 +208,7 @@ def test_budget_exhaustion_carries_the_refuted_range():
 def test_candidate_budget_allows_exactly_that_many_planarity_tests(monkeypatch):
     from oddplanar import oracle
 
-    k5 = complete_graph(5)
+    g = k33_subdivided()
     tests = 0
     real = oracle._planarization_witness
 
@@ -222,11 +222,11 @@ def test_candidate_budget_allows_exactly_that_many_planarity_tests(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(oracle, "_planarization_witness", counted)
-        assert exact_crossing_value(k5, "pcr", "minus", EnumerationBudget(1, 10**6, 60.0)) == 1
-    assert tests > 30  # the 30 adjacent multisets of value 0, then value 1
-    assert exact_crossing_value(k5, "pcr", "minus", EnumerationBudget(1, tests, 60.0)) == 1
+        assert exact_crossing_value(g, "pcr", "minus", EnumerationBudget(1, 10**6, 60.0)) == 1
+    assert tests == 21  # the empty and 19 adjacent multisets of value 0, then value 1
+    assert exact_crossing_value(g, "pcr", "minus", EnumerationBudget(1, tests, 60.0)) == 1
     with pytest.raises(BudgetExceeded) as info:
-        exact_crossing_value(k5, "pcr", "minus", EnumerationBudget(1, tests - 1, 60.0))
+        exact_crossing_value(g, "pcr", "minus", EnumerationBudget(1, tests - 1, 60.0))
     assert info.value.lower_bound == 1
 
 

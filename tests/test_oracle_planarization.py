@@ -123,7 +123,8 @@ def test_one_drawing_per_positive_verdict(monkeypatch):
 
     monkeypatch.setattr(oracle.Drawing, "from_routes", counting)
     budget = EnumerationBudget(1, 1000, 60.0)
-    # 30 refuted adjacent multisets, then the first independent one
+    # the parity screen refutes the 30 adjacent multisets, then the first
+    # independent one is drawn
     assert exact_crossing_value(K5, "pcr", "minus", budget) == 1
     assert len(built) == 1
 
