@@ -114,6 +114,7 @@ class Drawing:
         "_faces",
         "_face_source",
         "_face_of",
+        "_pokes",
         "_segments",
     )
 
@@ -147,6 +148,7 @@ class Drawing:
         self._faces = None
         self._face_source = None
         self._face_of = None
+        self._pokes = None
         self._segments = None
 
     # ------------------------------------------------------------------
@@ -334,39 +336,50 @@ class Drawing:
             # remove_edges' parent and dropped darts: its faces through
             # them merge, on first use.
             (parent, gone), self._face_source = self._face_source, None
-            faces = list(parent._faces)
-            _reface(faces, parent, gone, (self.rotation, self.theta, self._dart_node))
-            self._faces = tuple(faces)
+            _reface(self, list(parent._faces), parent, gone)
         if self._faces is None:
             succ: dict[int, int] = {}
             for rot in self.rotation.values():
                 n = len(rot)
                 for i, d in enumerate(rot):
                     succ[d] = rot[(i + 1) % n]
-            face_of: dict[int, int] = {}
+            seen: set[int] = set()
             out: list[tuple[int, ...]] = []
             for d0 in sorted(self.theta):
-                if d0 in face_of:
+                if d0 in seen:
                     continue
                 face = []
                 d = d0
-                while d not in face_of:
-                    face_of[d] = len(out)
+                while d not in seen:
+                    seen.add(d)
                     face.append(d)
                     d = succ[self.theta[d]]
                 out.append(tuple(face))
             self._faces = tuple(out)
-            self._face_of = MappingProxyType(face_of)
         return self._faces
 
-    def face_of_dart(self) -> Mapping[int, int]:
-        """dart -> index in :meth:`faces` of the face it bounds.  Cached
-        and read-only; read off carried faces in one pass."""
+    def face_of_dart(self) -> Mapping[int, tuple[int, ...]]:
+        """dart -> the face in :meth:`faces` that it bounds, as that tuple.
+        Cached and read-only.  Surgery and :meth:`remove_edges` patch their
+        parent's map, where it has one, for the faces they trace again."""
         if self._face_of is None:
-            faces = self.faces()  # a full trace fills the map as it goes
+            faces = self.faces()  # patching carried faces may patch the map
             if self._face_of is None:
-                self._face_of = MappingProxyType({x: i for i, f in enumerate(faces) for x in f})
+                face_of: dict = {}
+                for f in faces:
+                    face_of.update(dict.fromkeys(f, f))
+                self._face_of = MappingProxyType(face_of)
         return self._face_of
+
+    def _poke_counts(self) -> list[int]:
+        """Per face of :meth:`faces`, the number of dart pairs on it that
+        lie on distinct edges (see ``surgery.random_poke``).  Cached, and
+        patched like the face map."""
+        faces = self.faces()
+        if self._pokes is None:
+            seg = self.segment_of_dart()
+            self._pokes = [_face_pokes(f, seg) for f in faces]
+        return self._pokes
 
     def segment_of_dart(self) -> Mapping[int, tuple[int, int, bool]]:
         """dart -> (edge, segment index, True if the dart points along the
@@ -610,8 +623,9 @@ class Drawing:
         canonical renumbering would give.  Only the rotations at the
         removed edges' endpoints are re-normalized.  The route view (node
         ids unchanged), the segment map and the passes are carried over,
-        and so are the crossing counts and faces already computed; the
-        faces through a dropped dart merge and are traced on first read."""
+        and so are the crossing counts, odd degrees and faces already
+        computed; the faces through a dropped dart merge and are traced on
+        first read, which patches the face map and poke counts too."""
         removed = set(edge_set)
         if not removed:
             return self
@@ -679,6 +693,10 @@ class Drawing:
         if self._pair_counts is not None:
             d._pair_counts = {k: n for k, n in self._pair_counts.items() if removed.isdisjoint(k)}
             d._self_counts = {e: n for e, n in self._self_counts.items() if e not in removed}
+        if self._odd_deg is not None:
+            # Every crossing of a pair with a removed edge is dead, so such
+            # a pair with an odd number of them was odd.
+            d._odd_deg = _recount(self._odd_deg, (passes[c] for c in dead), lambda pair: True)
         if self._faces is not None:
             d._face_source = (self, gone)
         return d
@@ -796,11 +814,14 @@ def _walk(rotation, theta, node, x: int, succ: dict) -> list[int]:
     raise ValueError(f"the face walk from dart {x} does not close")
 
 
-def _reface(faces: list, d: Drawing, seeds, edited, starts=None) -> None:
-    """Replace in ``faces`` (``d``'s faces in order, ids maybe renamed)
-    each face of ``d`` through a seed dart, found by its least dart, with
-    the faces of the ``edited`` map (rotation, theta, node) through the
-    ``starts`` darts, by default the replaced faces' darts but the seeds."""
+def _reface(out: Drawing, faces: list, d: Drawing, seeds, starts=None, renamed: bool = False) -> None:
+    """Give ``out``, an edit of ``d``, its faces: ``faces`` (``d``'s faces
+    in order, ids maybe renamed) where each face of ``d`` through a seed
+    dart, found by its least dart, is replaced by the faces of ``out``'s
+    map through the ``starts`` darts, by default the replaced faces' darts
+    but the seeds.  The per-face poke counts and, unless ``out`` renamed
+    ``d``'s ids, the dart-to-face map are patched the same way where ``d``
+    holds them."""
     stale: set[int] = set()
     dirty, succ = [], {}
     for x in seeds:
@@ -808,16 +829,63 @@ def _reface(faces: list, d: Drawing, seeds, edited, starts=None) -> None:
             cycle = _walk(d.rotation, d.theta, d._dart_node, x, succ)
             stale.update(cycle)
             dirty.append(bisect_left(d._faces, (min(cycle),)))
-    for i in sorted(dirty, reverse=True):
+    dirty.sort(reverse=True)
+    for i in dirty:
         del faces[i]
-    seen: set[int] = set()
-    succ = {}
+    new, seen, succ = [], set(), {}
     for x in stale.difference(seeds) if starts is None else starts:
         if x not in seen:
-            cycle = _walk(*edited, x, succ)
+            cycle = _walk(out.rotation, out.theta, out._dart_node, x, succ)
             seen.update(cycle)
             i = cycle.index(min(cycle))
-            insort(faces, tuple(cycle[i:] + cycle[:i]))  # from its least dart
+            new.append(tuple(cycle[i:] + cycle[:i]))  # from its least dart
+    new.sort()
+    for f in new:
+        insort(faces, f)
+    out._faces = tuple(faces)
+    if d._pokes is not None:
+        pokes, seg = list(d._pokes), out.segment_of_dart()
+        for i in dirty:
+            del pokes[i]
+        for f in new:  # in face order, so each lands at its final place
+            pokes.insert(bisect_left(out._faces, f), _face_pokes(f, seg))
+        out._pokes = pokes
+    if d._face_of is not None and not renamed:
+        face_of = d._face_of.copy()
+        for f in new:
+            face_of.update(dict.fromkeys(f, f))
+        for x in stale.difference(out.theta):
+            del face_of[x]
+        out._face_of = MappingProxyType(face_of)
+
+
+def _face_pokes(face: tuple[int, ...], seg) -> int:
+    """The dart pairs on ``face`` whose darts lie on distinct edges."""
+    per: dict[int, int] = {}
+    for x in face:
+        e = seg[x][0]
+        per[e] = per.get(e, 0) + 1
+    return (len(face) ** 2 - sum(k * k for k in per.values())) // 2
+
+
+def _recount(odd_deg: dict, passes, was_odd) -> dict:
+    """``odd_deg`` after the crossings with these passes are added or
+    removed: a pair of distinct edges crossed an odd number of times among
+    them flips parity, so each of its edges gains one odd partner, or
+    loses one if ``was_odd(pair)``."""
+    gained: dict[tuple[int, int], int] = {}
+    for (a, _), (b, _) in passes:
+        if a != b:
+            gained[a, b] = gained.get((a, b), 0) + 1
+    deg = dict(odd_deg)
+    for pair, k in gained.items():
+        if k % 2:
+            step = -1 if was_odd(pair) else 1
+            for e in pair:
+                deg[e] = deg.get(e, 0) + step
+                if not deg[e]:
+                    del deg[e]
+    return deg
 
 
 # Surgery's ids (see ``surgery._splice``): new darts and crossings take

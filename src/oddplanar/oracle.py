@@ -40,6 +40,8 @@ from .surgery import (
     planar_rotations,
     quadrangulation_with_diagonals,
     random_planar_triangulation,
+    random_poke,
+    reroute_edge,
     route_edge,
     shortest_dual_path,
 )
@@ -175,32 +177,18 @@ def _convex_drawing(g: Multigraph, seed: int) -> Drawing:
     raise RuntimeError("could not find a nondegenerate convex placement")
 
 
-def _entangle_options(d: Drawing) -> list[tuple[int, int]]:
-    """Dart pairs (a, b) on one face whose darts lie on distinct edges, the
-    arguments ``double_crossing_move`` accepts, listed face by face in
-    sorted face order and by position along each face."""
-    seg_of = d.segment_of_dart()
-    options: list[tuple[int, int]] = []
-    for face in d.faces():
-        for i, a in enumerate(face):
-            for b in face[i + 1 :]:
-                if seg_of[a][0] != seg_of[b][0]:
-                    options.append((a, b))
-    return options
-
-
 def perturb_even(d: Drawing, moves: int, seed: int) -> tuple[Drawing, tuple[MoveRecord, ...]]:
-    """Apply a seeded sequence of parity-preserving double-crossing moves;
-    starting from an all-even drawing the result stays all-even.  The
-    records allow replay and last-in-first-out inversion."""
+    """Apply a seeded sequence of parity-preserving double-crossing moves
+    (:func:`random_poke`); starting from an all-even drawing the result
+    stays all-even.  The records allow replay and last-in-first-out
+    inversion."""
     rng = random.Random(f"{seed}:moves")
     recs: list[MoveRecord] = []
     for _ in range(moves):
-        options = _entangle_options(d)
-        if not options:
+        darts = random_poke(d, rng)
+        if darts is None:
             raise ValueError("no face offers two distinct edges to entangle")
-        a, b = options[rng.randrange(len(options))]
-        d, rec = double_crossing_move(d, a, b)
+        d, rec = double_crossing_move(d, *darts)
         recs.append(rec)
     return d, tuple(recs)
 
@@ -605,19 +593,22 @@ def extremal_search(k: int, n: int, budget: EnumerationBudget, seed: int) -> Sea
                 u, v = current.graph.endpoints(eid)
                 base = current.remove_edges({eid})
             else:
-                options = _entangle_options(current)
-                if not options:
+                darts = random_poke(current, rng)
+                if darts is None:
                     continue
-                a, b = options[rng.randrange(len(options))]
-                cand, _ = double_crossing_move(current, a, b)
+                cand, _ = double_crossing_move(current, *darts)
             if base is not None:
                 uc, vc, crossed = shortest_dual_path(
                     base, u, v, rng=random.Random(f"{seed}:route:{proposals}")
                 )
-                # Screened before it is built: a rejected route costs no Drawing.
+                # Screened before it is built: a rejected route costs no
+                # Drawing, and a reroute that changes nothing keeps current.
                 if not _routed_is_k_odd_plane(base, crossed, k):
                     continue
-                cand = route_edge(base, eid, u, v, uc, vc, crossed)
+                if added is None:
+                    cand = reroute_edge(current, base, eid, uc, vc, crossed)
+                else:
+                    cand = route_edge(base, eid, u, v, uc, vc, crossed)
         except ValueError:
             continue
         if not cand.is_k_odd_plane(k):

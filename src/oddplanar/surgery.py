@@ -16,45 +16,38 @@ from, and ``spin`` turns that side into the stored bit.
 
 The three edits check their arguments (a malformed one is a ValueError)
 and, with ``add_diagonals``, patch copies of the map through one kernel,
-``_splice``, and every view of the input, faces included, is carried
-(counts and odd degrees only when no crossing is added).  New darts and
-crossings take free ids between the old ids where a canonical rebuild
-puts them, so no old id changes: spliced ids keep their canonical
-relative order but are not compact.  Only a gap without room makes the
-kernel respace every id once, ``drawing.STRIDE`` apart.
+``_splice``, and every view of the input, faces included, is carried.
+Odd degrees are patched from the crossings a splice adds; pair counts are
+carried only when no crossing is added.  The dart-to-face map and the
+per-face poke counts are patched where the input holds them (the face
+map not when ids are respaced).  New darts and crossings take free ids
+between the old ids where a canonical rebuild puts them (``_place``), so
+no old id changes: spliced ids keep their canonical relative order but
+are not compact.  Only a gap without room makes the kernel respace every
+id once, ``drawing.STRIDE`` apart.  ``reroute_edge`` compares the ids it
+would place with the drawing the edge came from and splices nothing when
+they, the corners and the spins are all the same.
 """
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, islice
 from types import MappingProxyType
 
-from .drawing import Drawing, Ending, _crossing, _endings, _norm_cyclic, _reface, _repass, _respace, _spread, spin
+from .drawing import Drawing, Ending, _crossing, _endings, _norm_cyclic, _recount, _reface, _repass, _respace, _spread, spin
 from .graphs import Multigraph
 
 
-def _splice(d: Drawing, vertex, edges, ends, routes, splices, spins) -> Drawing:
-    """The one surgery kernel: a new vertex, new edges ``(id, (u, v))``
-    in id order and new crossings spliced into copies of the map.  ``ends``
-    maps each new ending to the dart it goes before (None: at a vertex
-    without darts, listed clockwise); ``routes`` (new edge -> keys) and
-    ``splices`` ((edge, segment) -> keys) list new crossings in travel
-    order, ``spins`` their bits.  The caller checks the arguments.
-
-    New darts and crossings take free ids between the old ids where a
-    rebuild would put them, so no old id changes and the ids keep their
-    canonical relative order, though they are not compact.  Only when a
-    gap has no room (as right after :meth:`Drawing.from_routes`) does
-    :func:`_respace` renumber every dart or crossing once.  Only the faces
-    through an edited corner or split segment are traced."""
-    new_v = () if vertex is None else (vertex,)
-    graph = d.graph._plus(new_v, tuple(edges)) if edges or new_v else d.graph
-    old, rot0, theta0, node0 = d.edge_paths, d.rotation, d.theta, d._dart_node
-    vrot, routes0, spins0 = d.route_view()
-    passes0, faces0, seg0 = d.crossing_passes(), d.faces(), d.segment_of_dart()
-
+def _place(d: Drawing, vertex, edges, routes, splices) -> tuple:
+    """Where :func:`_splice` puts the ids of what it adds: ``(dm, made, nm,
+    node_of, ins, gaps, cgaps)``, the renaming of old darts and crossings
+    (empty unless a gap has no room), the new darts per slot (a new edge,
+    or a split segment (edge, index)), the node of each new crossing key,
+    its (in, out) dart pairs, and the gaps of old dart and crossing ids
+    that receive new ones."""
+    old, rot0, theta0, spins0 = d.edge_paths, d.rotation, d.theta, d.route_view()[2]
     # Each slot of new darts goes into a gap of dart ids: a split segment
     # into the gap between its two darts, new edges into the gap between
     # the edges beside them by id (no upper limit after the last one).
@@ -82,8 +75,9 @@ def _splice(d: Drawing, vertex, edges, ends, routes, splices, spins) -> Drawing:
         for j, key in enumerate(keys):
             ins.setdefault(key, []).append(made[slot][k + 2 * j : k + 2 * j + 2])  # (in, out)
     nm, node_of, cgaps = {}, {}, {}
+    new_v = () if vertex is None else (vertex,)
     if ins or (new_v and spins0):
-        cross, top_v, at = sorted(spins0), graph.vertices[-1], []
+        cross, top_v, at = sorted(spins0), max(d.graph.vertices[-1:] + new_v), []
 
         def least(c):
             x = min(rot0[c])
@@ -98,7 +92,30 @@ def _splice(d: Drawing, vertex, edges, ends, routes, splices, spins) -> Drawing:
         if placed is None:
             nm, placed = _respace(cross, cgaps, top_v)
         node_of = {key: next(placed[gap]) for key, gap in at}
-    nget = nm.get
+    return dm, made, nm, node_of, ins, gaps, cgaps
+
+
+def _splice(d: Drawing, vertex, edges, ends, routes, splices, spins) -> Drawing:
+    """The one surgery kernel: a new vertex, new edges ``(id, (u, v))``
+    in id order and new crossings spliced into copies of the map.  ``ends``
+    maps each new ending to the dart it goes before (None: at a vertex
+    without darts, listed clockwise); ``routes`` (new edge -> keys) and
+    ``splices`` ((edge, segment) -> keys) list new crossings in travel
+    order, ``spins`` their bits.  The caller checks the arguments.
+
+    New darts and crossings take free ids between the old ids where a
+    rebuild would put them, so no old id changes and the ids keep their
+    canonical relative order, though they are not compact.  Only when a
+    gap has no room (as right after :meth:`Drawing.from_routes`) does
+    :func:`_respace` renumber every dart or crossing once.  Only the faces
+    through an edited corner or split segment are traced."""
+    new_v = () if vertex is None else (vertex,)
+    graph = d.graph._plus(new_v, tuple(edges)) if edges or new_v else d.graph
+    old, rot0, theta0, node0 = d.edge_paths, d.rotation, d.theta, d._dart_node
+    vrot, routes0, spins0 = d.route_view()
+    passes0, faces0, seg0 = d.crossing_passes(), d.faces(), d.segment_of_dart()
+    dm, made, nm, node_of, ins, gaps, cgaps = _place(d, vertex, edges, routes, splices)
+    dget, nget = dm.get, nm.get
 
     def darts(t):  # t with its darts renamed; t itself when none moves
         return t if dm.keys().isdisjoint(t) else tuple(map(dget, t, t))
@@ -139,8 +156,7 @@ def _splice(d: Drawing, vertex, edges, ends, routes, splices, spins) -> Drawing:
         new_spins[c] = bool(spins[key])
         rotation[c] = _crossing(paths, passes[c], new_spins[c])
 
-    # New endings at their vertices, one merge pass over each rotation,
-    # then the faces they split.
+    # New endings at their vertices, one merge pass over each rotation.
     before: dict[int, dict] = {v: {} for v in new_v}
     for (e, end), corner in ends.items():
         t = made[e][-end]
@@ -152,11 +168,6 @@ def _splice(d: Drawing, vertex, edges, ends, routes, splices, spins) -> Drawing:
             r.append(y)
         rotation[x] = _norm_cyclic(tuple(r + put.get(None, [])))
         vrot[x] = _endings(seg, rotation[x])
-    seeds = [c for c in ends.values() if c is not None] + [x for g, q in splices for x in old[g][2 * q : 2 * q + 2]]
-    # Every face left where an old face was split or merged runs
-    # through a new dart, so the new darts reach them all.
-    new = [x for r in made.values() for x in r]
-    _reface(faces, d, seeds, (rotation, theta, node), new)
 
     # The views and paths in id order, as a rebuild lists them.  Renaming
     # keeps the order and appends keep it too; only a view that gained a
@@ -165,6 +176,7 @@ def _splice(d: Drawing, vertex, edges, ends, routes, splices, spins) -> Drawing:
     def in_order(m):
         return {k: m[k] for k in sorted(m)}
 
+    eids = d.graph.edge_ids()
     if edges and eids and edges[0][0] < eids[-1]:
         paths, new_routes = in_order(paths), in_order(new_routes)
     if any(hi is not None for _, hi in gaps):
@@ -176,10 +188,20 @@ def _splice(d: Drawing, vertex, edges, ends, routes, splices, spins) -> Drawing:
     top = max([max(dm.values()) if dm else d._top, *(r[-1] for r in made.values())])
     out = Drawing.__new__(Drawing)
     out._adopt(graph, rotation, theta, paths, node, top)
-    out._segments, out._passes, out._faces = MappingProxyType(seg), passes, tuple(faces)
+    out._segments, out._passes = MappingProxyType(seg), passes
     out._routes = (MappingProxyType(vrot), MappingProxyType(new_routes), MappingProxyType(new_spins))
+    # The faces the new endings and split segments cut: every face left
+    # where an old face was split or merged runs through a new dart, so
+    # the new darts reach them all.
+    seeds = [c for c in ends.values() if c is not None] + [x for g, q in splices for x in old[g][2 * q : 2 * q + 2]]
+    _reface(out, faces, d, seeds, [x for r in made.values() for x in r], renamed=bool(dm))
     if not node_of:  # no new crossing: the counts stand
         (out._pair_counts, out._self_counts), out._odd_deg = d._counts(), d._odd_degrees()
+    elif d._odd_deg is not None:
+        # Pair counts stay lazy.  A new edge's pairs had no crossing.
+        fresh = {e for e, _ in edges}
+        out._odd_deg = _recount(d._odd_deg, [passes[c] for c in node_of.values()],
+                                lambda pair: fresh.isdisjoint(pair) and d.crossing_count(*pair) % 2)
     return out
 
 
@@ -214,20 +236,9 @@ def insert_vertex_in_face(d: Drawing, face: tuple[int, ...], corner_positions: l
     return _splice(d, new_vid, edges, ends, {e: () for e, _ in edges}, {}, {})
 
 
-def route_edge(d: Drawing, eid: int, u: int, v: int,
-               u_corner: int | None, v_corner: int | None,
-               crossed_darts: list[int]) -> Drawing:
-    """Insert edge ``eid`` from u to v along an explicit dual path.
-
-    ``crossed_darts`` lists, in travel order, the dart of each segment the
-    new edge crosses; the edge leaves the face on that dart's left and
-    enters the face on its right.  Corners are "insert before this dart"
-    at u and v (None only for an isolated endpoint).  Each segment may be
-    crossed at most once per call.  Each face on the way splits in two; a
-    route that does not chain through faces is a ValueError.  Ids and
-    carried views follow the splice contract above, also for an ``eid``
-    below the largest id.
-    """
+def _route_args(d: Drawing, eid: int, u: int, v: int, u_corner, v_corner, crossed_darts) -> tuple:
+    """:func:`route_edge`'s arguments, checked, as :func:`_splice` takes
+    them: (edges, ends, routes, splices, spins)."""
     vrot = d.route_view()[0]
     seg_of = d.segment_of_dart()
     if u == v:
@@ -251,8 +262,12 @@ def route_edge(d: Drawing, eid: int, u: int, v: int,
         # The new edge crosses from x's left to its right, so x's edge
         # passes from the new edge's right when x points along it.
         spins[i] = spin(eid, g, not fwd)
-    ends = {(eid, 0): u_corner, (eid, 1): v_corner}
-    out = _splice(d, None, [(eid, (u, v))], ends, {eid: tuple(spins)}, splices, spins)
+    return [(eid, (u, v))], {(eid, 0): u_corner, (eid, 1): v_corner}, {eid: tuple(spins)}, splices, spins
+
+
+def _chained(d: Drawing, out: Drawing, u: int, v: int, u_corner, v_corner, crossed_darts) -> Drawing:
+    """``out``, the route of an edge from u to v spliced into d, once its
+    corners and crossed darts are seen to chain through faces."""
     # The edge joins `parts` map components, or one when each step stays
     # in a face; every other component keeps V - E + F = 2 (an isolated
     # vertex counts one face, which faces() does not list).
@@ -268,43 +283,141 @@ def route_edge(d: Drawing, eid: int, u: int, v: int,
     return out
 
 
+def route_edge(d: Drawing, eid: int, u: int, v: int,
+               u_corner: int | None, v_corner: int | None,
+               crossed_darts: list[int]) -> Drawing:
+    """Insert edge ``eid`` from u to v along an explicit dual path.
+
+    ``crossed_darts`` lists, in travel order, the dart of each segment the
+    new edge crosses; the edge leaves the face on that dart's left and
+    enters the face on its right.  Corners are "insert before this dart"
+    at u and v (None only for an isolated endpoint).  Each segment may be
+    crossed at most once per call.  Each face on the way splits in two; a
+    route that does not chain through faces is a ValueError.  Ids and
+    carried views follow the splice contract above, also for an ``eid``
+    below the largest id.
+    """
+    args = _route_args(d, eid, u, v, u_corner, v_corner, crossed_darts)
+    return _chained(d, _splice(d, None, *args), u, v, u_corner, v_corner, crossed_darts)
+
+
+def reroute_edge(d: Drawing, base: Drawing, eid: int,
+                 u_corner: int | None, v_corner: int | None,
+                 crossed_darts: list[int]) -> Drawing:
+    """Edge ``eid`` of d routed again: :func:`route_edge` on ``base``,
+    which must be ``d.remove_edges({eid})``, with d's endpoints of eid.
+    When the route would give the edge back every dart, crossing, corner
+    and spin it has in d, ids included, the result is d itself and nothing
+    is spliced."""
+    u, v = d.graph.endpoints(eid)
+    args = _route_args(base, eid, u, v, u_corner, v_corner, crossed_darts)
+    if _puts_back(d, base, eid, *args):
+        return d
+    return _chained(base, _splice(base, None, *args), u, v, u_corner, v_corner, crossed_darts)
+
+
+def _puts_back(d: Drawing, base: Drawing, eid: int, edges, ends, routes, splices, spins) -> bool:
+    """Whether :func:`_splice` of edge ``eid`` into ``base`` (d without
+    it) with these arguments gives d's map exactly, ids included, without
+    splicing.  It does when no id is renamed, the edge's path and route
+    are d's (so its crossings are the ones removing it killed, in order),
+    each edge it crosses gets back d's path, which holds every dart that
+    removing eid smoothed away, and each new crossing and both endpoints
+    get back d's rotation: nothing else differs between base and d.  (The
+    renaming and path checks matter only for ids out of canonical order.)"""
+    dm, made, nm, node_of = _place(base, None, edges, routes, splices)[:4]
+    p = tuple(made[eid])
+    if dm or nm or p != d.edge_paths[eid] or d.route_view()[1][eid] != tuple(node_of[i] for i in range(len(spins))):
+        return False
+    paths = {eid: p}
+    for (g, q), r in sorted(((s, made[s]) for s in splices), reverse=True):
+        path = paths.get(g, base.edge_paths[g])
+        paths[g] = path[: 2 * q + 1] + tuple(r) + path[2 * q + 1 :]
+    if any(d.edge_paths[g] != path for g, path in paths.items()):
+        return False
+    for (g, q), (i,) in splices.items():
+        at = (eid, i), (g, (paths[g].index(made[g, q][0]) - 1) // 2)
+        if d.rotation[node_of[i]] != _crossing(paths, sorted(at), spins[i]):
+            return False
+    for (e, end), corner in ends.items():
+        x = p[-end]
+        r = base.rotation[d._dart_node[x]]
+        i = r.index(corner) if corner is not None else len(r)
+        if d.rotation[d._dart_node[x]] != _norm_cyclic(r[:i] + (x,) + r[i:]):
+            return False
+    return True
+
+
+def _shuffle(x: list, bits) -> list:
+    """Shuffle x in place and return it, with the draws and result of
+    ``random.Random.shuffle``: for i from the top down, j below i + 1 by
+    rejection from ``bits((i + 1).bit_length())``, ``bits`` being the
+    generator's ``getrandbits``; then x[i] and x[j] swap."""
+    for i in range(len(x) - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = bits(k)
+        while j > i:
+            j = bits(k)
+        x[i], x[j] = x[j], x[i]
+    return x
+
+
 def shortest_dual_path(d: Drawing, u: int, v: int,
                        rng: random.Random | None = None) -> tuple[int | None, int | None, list[int]]:
     """A fewest-crossings dual path from u to v as (u corner, v corner,
     crossed darts), the arguments :func:`route_edge` takes.  Breadth-first
-    search over faces with deterministic tie-breaks; ``rng`` shuffles the
-    exploration order for seeded variety.  Endpoints in different map
-    components are bridged without crossings."""
+    search over faces, read off the carried dart-to-face map, in least-dart
+    order; ``rng`` shuffles the start faces and each face's darts as it is
+    explored, drawing as ``rng.shuffle`` does, for seeded variety.
+    Endpoints in different map components are bridged without crossings.
+    An endpoint that is not a vertex of d is a ValueError."""
+    vrot = d.route_view()[0]
+    if u not in vrot or v not in vrot:
+        raise ValueError("endpoints must be vertices of the drawing")
     if u == v:
         raise ValueError("cannot insert a loop")
-    faces = d.faces()
-    face_of_dart = d.face_of_dart()
-    u_corners = list(d.rotation[u])
-    v_corners = list(d.rotation[v])
+    face_of, theta = d.face_of_dart(), d.theta
+    u_corners = d.rotation[u]
+    v_corners = d.rotation[v]
     if not u_corners or not v_corners:
         # An isolated endpoint floats freely; bridge with no crossings.
         uc = u_corners[0] if u_corners else None
         vc = v_corners[0] if v_corners else None
         return uc, vc, []
 
-    v_faces = {face_of_dart[x]: x for x in reversed(v_corners)}
+    # Faces are named by their least dart.
+    v_faces = {face_of[x][0]: x for x in reversed(v_corners)}
     start = {}
     for x in u_corners:
-        start.setdefault(face_of_dart[x], x)
+        start.setdefault(face_of[x][0], x)
     # BFS over faces: one FIFO queue that grows while it is read.
     queue = sorted(start)
-    if rng is not None:
-        rng.shuffle(queue)
+    bits = None if rng is None else rng.getrandbits
+    if bits is not None:
+        _shuffle(queue, bits)
     parent: dict[int, tuple[int, int] | None] = dict.fromkeys(queue)
     goal = next((f for f in queue if f in v_faces), None)
     for f in queue:
         if goal is not None:
             break
-        darts = list(faces[f])
-        if rng is not None:
-            rng.shuffle(darts)
+        darts = face_of[f]
+        if bits is not None and len(darts) == 3:  # _shuffle unrolled
+            a, b, c = darts
+            j = bits(2)
+            while j == 3:
+                j = bits(2)
+            if j == 0:
+                a, c = c, a
+            elif j == 1:
+                b, c = c, b
+            j = bits(2)
+            while j > 1:
+                j = bits(2)
+            darts = (b, a, c) if j == 0 else (a, b, c)
+        elif bits is not None:
+            darts = _shuffle(list(darts), bits)
         for x in darts:
-            g = face_of_dart[d.theta[x]]
+            g = face_of[theta[x]][0]
             if g not in parent:
                 parent[g] = (f, x)
                 queue.append(g)
@@ -363,6 +476,29 @@ def double_crossing_move(d: Drawing, dart_a: int, dart_b: int) -> tuple[Drawing,
     spins = {1: spin(ea, eb, fa != fb), 2: spin(ea, eb, fa == fb)}
     splices = {(ea, qa): (1, 2) if fa else (2, 1), (eb, qb): (2, 1) if fb else (1, 2)}
     return _splice(d, None, [], {}, {}, splices, spins), MoveRecord(ea, eb, qa, qb)
+
+
+def random_poke(d: Drawing, rng: random.Random) -> tuple[int, int] | None:
+    """Arguments for :func:`double_crossing_move` drawn by one
+    ``rng.randrange`` over all of them, or None, with no draw, when there
+    are none.  They are the pairs (a, b) of darts on one face and on
+    distinct edges, b after a along the face, counted face by face in
+    face order from the carried per-face counts; only the drawn face is
+    listed."""
+    cum = list(accumulate(d._poke_counts()))
+    if not cum or not cum[-1]:
+        return None
+    r = rng.randrange(cum[-1])
+    i = bisect_right(cum, r)
+    r -= cum[i - 1] if i else 0
+    face, seg = d.faces()[i], d.segment_of_dart()
+    for j, a in enumerate(face):
+        for b in face[j + 1 :]:
+            if seg[b][0] != seg[a][0]:
+                if not r:
+                    return a, b
+                r -= 1
+    raise AssertionError("poke count out of date")
 
 
 def undo_double_crossing(d: Drawing, rec: MoveRecord) -> Drawing:

@@ -1,8 +1,9 @@
 """Reference surgery for the tests: the route-view rebuilds that
 ``insert_vertex_in_face``, ``route_edge``, ``double_crossing_move`` and
-``add_diagonals`` used before they spliced the map in place.
+``add_diagonals`` used before they spliced the map in place, and the
+dual-path search before it drew its own shuffles.
 
-Each edits a copy of the route view and materializes the result with
+Each rebuild edits a copy of the route view and materializes the result with
 ``Drawing.from_routes``, so its output has canonical ids.  Arguments are
 taken as valid.  Not collected by pytest: the module name has no
 ``test_`` prefix."""
@@ -104,3 +105,46 @@ def rebuilt_diagonals(d: Drawing) -> Drawing:
         new_vrot[v] = tuple(out)
     g2 = Multigraph(d.graph.vertices, d.graph.edges + tuple(new_edges))
     return Drawing.from_routes(g2, new_vrot, routes, spins, validate=False)
+
+
+def shuffled_dual_path(d: Drawing, u: int, v: int, rng=None):
+    """``shortest_dual_path`` as it was before it read the dart-to-face map
+    and drew its own shuffles: faces by index, orders by ``rng.shuffle``."""
+    faces = d.faces()
+    face_of_dart = {x: i for i, f in enumerate(faces) for x in f}
+    u_corners = list(d.rotation[u])
+    v_corners = list(d.rotation[v])
+    if not u_corners or not v_corners:
+        return (u_corners[0] if u_corners else None), (v_corners[0] if v_corners else None), []
+    v_faces = {face_of_dart[x]: x for x in reversed(v_corners)}
+    start = {}
+    for x in u_corners:
+        start.setdefault(face_of_dart[x], x)
+    queue = sorted(start)
+    if rng is not None:
+        rng.shuffle(queue)
+    parent = dict.fromkeys(queue)
+    goal = next((f for f in queue if f in v_faces), None)
+    for f in queue:
+        if goal is not None:
+            break
+        darts = list(faces[f])
+        if rng is not None:
+            rng.shuffle(darts)
+        for x in darts:
+            g = face_of_dart[d.theta[x]]
+            if g not in parent:
+                parent[g] = (f, x)
+                queue.append(g)
+                if g in v_faces:
+                    goal = g
+                    break
+    if goal is None:
+        return u_corners[0], v_corners[0], []
+    crossed = []
+    f = goal
+    while parent[f] is not None:
+        f, x = parent[f]
+        crossed.append(x)
+    crossed.reverse()
+    return start[f], v_faces[goal], crossed

@@ -9,7 +9,7 @@ from functools import cache
 import pytest
 
 from oddplanar import Drawing, Multigraph, complete_graph, merge_disjoint
-from oddplanar.oracle import _entangle_options, perturb_even, random_drawing
+from oddplanar.oracle import perturb_even, random_drawing
 from oddplanar.redraw import theorem2_transform
 from oddplanar.surgery import (
     add_diagonals,
@@ -30,6 +30,7 @@ from oddplanar.surgery import (
     undo_double_crossing,
 )
 from fixtures import figure_eight, k4_convex, k5_one_crossing, lens_pair
+from poking import entangle_options
 from test_explore_kernels import self_crossing_drawing
 
 
@@ -62,7 +63,7 @@ def far_figure_eight() -> Drawing:
 
 def poked() -> Drawing:
     d = random_planar_triangulation(9, 4)
-    a, b = _entangle_options(d)[0]
+    a, b = entangle_options(d)[0]
     return double_crossing_move(d, a, b)[0]
 
 
@@ -86,7 +87,7 @@ def spliced() -> list[Drawing]:
     reroute = route_edge(base, 4, u, v, *shortest_dual_path(base, u, v))
     low = insert_edge_shortest(d.remove_edges({2}), 2, 0, 9)
     s = self_crossing_drawing()
-    a, b = _entangle_options(s)[-1]
+    a, b = entangle_options(s)[-1]
     face = next(f for f in s.faces() if s.dart_node(f[0]) in s.graph.vertices)
     return [reroute, low, double_crossing_move(s, a, b)[0], insert_vertex_in_face(s, face, [0], 200, 300)]
 

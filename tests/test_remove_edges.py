@@ -106,12 +106,14 @@ def assert_agrees(d: Drawing, removed: frozenset[int], ordered: bool) -> None:
         calls.append(args)
         return original(cls, *args, **kwargs)
 
+    held = d._faces is not None and d._face_of is not None, d._pokes is not None, d._odd_deg is not None
     Drawing.from_routes = classmethod(counting)
     try:
         out = d.remove_edges(removed)
     finally:
         Drawing.from_routes = classmethod(original)
     assert calls == []
+    odd_deg = out._odd_deg
 
     assert serialize_drawing(out) == serialize_drawing(ref)
     assert out.canonical_key() == ref.canonical_key()
@@ -125,10 +127,17 @@ def assert_agrees(d: Drawing, removed: frozenset[int], ordered: bool) -> None:
     # do the crossing counts when they were carried.
     carried = out._pair_counts is not None
     assert views(out) == views(lazy(out))
+    again = lazy(out)
     if carried:
-        again = lazy(out)
         assert repr(list(out._counts()[0].items())) == repr(list(again._counts()[0].items()))
         assert repr(list(out._counts()[1].items())) == repr(list(again._counts()[1].items()))
+    # The odd degrees, and with the faces the face map and poke counts,
+    # are patched where the source holds them, and equal fresh ones.
+    face_map, pokes, odd = held
+    assert (odd_deg is not None) == odd and (odd_deg is None or odd_deg == again._odd_degrees())
+    assert (out._face_of is not None) >= face_map and (out._pokes is not None) >= pokes
+    assert dict(out.face_of_dart()) == dict(again.face_of_dart())
+    assert out._poke_counts() == again._poke_counts()
 
     if ordered:
         # Kept ids keep their relative order, so on a canonical source the
@@ -146,7 +155,9 @@ def assert_agrees(d: Drawing, removed: frozenset[int], ordered: bool) -> None:
 def test_smoothing_agrees_with_the_rebuild(name):
     d = sources()[name]
     ordered = not name.startswith("relabelled/")
-    d.crossing_stats()  # the source's counts exist, so they are carried
+    # The source's counts, odd degrees, face map and poke counts exist,
+    # so they are carried.
+    d.crossing_stats(), d.face_of_dart(), d._poke_counts()
     for i, removed in enumerate(removal_sets(d)):
         # Every other set starts from a copy whose views are all lazy.
         assert_agrees(lazy(d) if i % 2 else d, removed, ordered)

@@ -23,10 +23,10 @@ from functools import cache
 import pytest
 
 from oddplanar import Drawing, Multigraph, complete_graph
-from oddplanar import surgery
+from oddplanar import oracle, surgery
 from oddplanar.docio import serialize_drawing
 from oddplanar.drawing import STRIDE
-from oddplanar.oracle import EnumerationBudget, _entangle_options, extremal_search, perturb_even, random_drawing
+from oddplanar.oracle import EnumerationBudget, extremal_search, perturb_even, random_drawing
 from oddplanar.surgery import (
     add_diagonals,
     double_crossing_move,
@@ -40,6 +40,7 @@ from oddplanar.surgery import (
     shortest_dual_path,
 )
 from fixtures import figure_eight, k5_one_crossing, lens_pair
+from poking import entangle_options
 from smoothing import rebuilt_without
 from splicing import rebuilt_diagonals, rebuilt_double_crossing, rebuilt_route_edge, rebuilt_vertex_in_face
 from test_drawing_views import lazy, two_loops, views
@@ -54,7 +55,7 @@ def search_walk(seed: int, steps: int = 20) -> Drawing:
     d = perturb_even(random_planar_triangulation(10, seed), 2, seed)[0]
     for step in range(steps):
         if step % 2:
-            d = double_crossing_move(d, *rng.choice(_entangle_options(d)))[0]
+            d = double_crossing_move(d, *rng.choice(entangle_options(d)))[0]
         else:
             eid = rng.choice(d.graph.edge_ids())
             u, v = d.graph.endpoints(eid)
@@ -67,7 +68,7 @@ def respaced() -> Drawing:
     """A poke on a compact drawing: no gap has room, so every id is
     renumbered to a multiple of the stride."""
     d = perturb_even(random_planar_triangulation(12, 7), 2, 7)[0].canonicalize()
-    return double_crossing_move(d, *_entangle_options(d)[0])[0]
+    return double_crossing_move(d, *entangle_options(d)[0])[0]
 
 
 @cache
@@ -115,7 +116,14 @@ def counting_from_routes(monkeypatch) -> list:
     return calls
 
 
-def assert_spliced(out: Drawing, ref: Drawing, ordered: bool) -> None:
+def prime(d: Drawing) -> Drawing:
+    """d with the views an edit patches where its parent holds them."""
+    d.face_of_dart(), d._odd_degrees(), d._poke_counts()
+    return d
+
+
+def assert_spliced(out: Drawing, ref: Drawing, ordered: bool, parent: Drawing | None = None) -> None:
+    face_of, odd_deg, pokes = out._face_of, out._odd_deg, out._pokes
     assert serialize_drawing(out) == serialize_drawing(ref)
     assert out == ref
     assert out.validate() == [] == ref.validate()
@@ -138,6 +146,17 @@ def assert_spliced(out: Drawing, ref: Drawing, ordered: bool) -> None:
     assert out._odd_degrees() == again._odd_degrees()
     assert out.faces() == again.faces()
     assert dict(out.face_of_dart()) == dict(again.face_of_dart())
+    assert out._poke_counts() == again._poke_counts()
+
+    # What the edit patched from its parent (the face map only where no
+    # id was renamed) equals the fresh derivation.
+    if parent is not None:
+        assert odd_deg is not None or parent._odd_deg is None
+        assert pokes is not None or parent._pokes is None
+        assert face_of is not None or parent._face_of is None or not parent.theta.keys() <= out.theta.keys()
+    assert face_of is None or dict(face_of) == dict(again.face_of_dart())
+    assert odd_deg is None or odd_deg == again._odd_degrees()
+    assert pokes is None or pokes == again._poke_counts()
 
     if ordered:
         dmap = order_map(out.theta, ref.theta)
@@ -182,7 +201,7 @@ def ids_below_max(d: Drawing) -> list[int]:
 
 @pytest.mark.parametrize("name", sorted(sources()))
 def test_vertex_insertion_agrees_with_the_rebuild(name, monkeypatch):
-    d = sources()[name]
+    d = prime(sources()[name])
     ordered = name != "relabelled"
     top_v = max(d.graph.vertices) + 1
     top_e = max(d.graph.edge_ids(), default=-1) + 1
@@ -202,12 +221,12 @@ def test_vertex_insertion_agrees_with_the_rebuild(name, monkeypatch):
     assert calls == []
     monkeypatch.undo()
     for out, case in outs:
-        assert_spliced(out, rebuilt_vertex_in_face(d, *case), ordered)
+        assert_spliced(out, rebuilt_vertex_in_face(d, *case), ordered, d)
 
 
 @pytest.mark.parametrize("name", sorted(sources()))
 def test_edge_routing_agrees_with_the_rebuild(name, monkeypatch):
-    d = sources()[name]
+    d = prime(sources()[name])
     ordered = name != "relabelled"
     rng = random.Random(name)
     top = max(d.graph.edge_ids(), default=-1) + 1
@@ -225,14 +244,14 @@ def test_edge_routing_agrees_with_the_rebuild(name, monkeypatch):
     assert calls == []
     monkeypatch.undo()
     for out, case in zip(outs, cases):
-        assert_spliced(out, rebuilt_route_edge(*case), ordered)
+        assert_spliced(out, rebuilt_route_edge(*case), ordered, case[0])
 
 
 @pytest.mark.parametrize("name", sorted(sources()))
 def test_double_crossing_agrees_with_the_rebuild(name, monkeypatch):
-    d = sources()[name]
+    d = prime(sources()[name])
     ordered = name != "relabelled"
-    options = _entangle_options(d)
+    options = entangle_options(d)
     if not options:
         pytest.skip("no face offers two distinct edges")
     picks = random.Random(name).sample(options, min(8, len(options)))
@@ -241,7 +260,7 @@ def test_double_crossing_agrees_with_the_rebuild(name, monkeypatch):
     assert calls == []
     monkeypatch.undo()
     for out, (a, b) in zip(outs, picks):
-        assert_spliced(out, rebuilt_double_crossing(d, a, b), ordered)
+        assert_spliced(out, rebuilt_double_crossing(d, a, b), ordered, d)
 
 
 def perturbed_quadrangulation() -> Drawing:
@@ -285,15 +304,15 @@ def test_chained_edits_agree_with_chained_rebuilds(seed):
     rng = random.Random(seed)
     out = ref = perturb_even(random_planar_triangulation(9, seed), 2, seed)[0]
     for step in range(12):
-        kind = step % 4
+        kind, parent = step % 4, out
         if kind == 0:
-            a, b = rng.choice(_entangle_options(out))
+            a, b = rng.choice(entangle_options(out))
             dmap = order_map(out.theta, ref.theta)
             out, ref = double_crossing_move(out, a, b)[0], rebuilt_double_crossing(ref, dmap[a], dmap[b])
         elif kind in (1, 2):
             eid = rng.choice(out.graph.edge_ids()) if kind == 1 else max(out.graph.edge_ids()) + 1
             u, v = out.graph.endpoints(eid) if kind == 1 else rng.sample(out.graph.vertices, 2)
-            base_out = out.remove_edges({eid}) if kind == 1 else out
+            parent = base_out = out.remove_edges({eid}) if kind == 1 else out
             base_ref = rebuilt_without(ref, {eid}) if kind == 1 else ref
             uc, vc, crossed = shortest_dual_path(base_out, u, v, random.Random(step))
             dmap = order_map(base_out.theta, base_ref.theta)
@@ -305,7 +324,7 @@ def test_chained_edits_agree_with_chained_rebuilds(seed):
             w, e = max(out.graph.vertices) + 1, max(out.graph.edge_ids()) + 1
             real = [j for j, x in enumerate(face) if out.dart_node(x) in out.graph.vertices][:1]
             out, ref = insert_vertex_in_face(out, face, real, w, e), rebuilt_vertex_in_face(ref, ref.faces()[i], real, w, e)
-        assert_spliced(out, ref, True)
+        assert_spliced(out, ref, True, parent)
 
 
 @pytest.mark.parametrize("seed", range(70, 90))
@@ -315,25 +334,29 @@ def test_pokes_after_removals_agree_with_the_rebuild(seed):
     out = ref = random_planar_drawing(4 + seed % 7, seed, deletions=seed % 4)
     rng = random.Random(seed)
     for _ in range(4):
-        options = _entangle_options(out)
+        options = entangle_options(out)
         if not options:
             return
         a, b = options[rng.randrange(len(options))]
         dmap = order_map(out.theta, ref.theta)
+        parent = out
         out, ref = double_crossing_move(out, a, b)[0], rebuilt_double_crossing(ref, dmap[a], dmap[b])
-        assert_spliced(out, ref, True)
+        assert_spliced(out, ref, True, parent)
 
 
 def test_removal_carries_faces():
     for d in sources().values():
-        d.faces(), d.crossing_stats()
+        prime(d)
         for eid in d.graph.edge_ids()[:6]:
             out = d.remove_edges({eid})
-            # The faces are patched from the source's on first read.
-            assert out._face_source is not None
+            # The faces, face map and poke counts are patched from the
+            # source's on first read, the odd degrees at once.
+            assert out._face_source is not None and out._odd_deg is not None
             again = lazy(out)
+            assert out._odd_deg == again._odd_degrees()
             assert out.faces() == again.faces()
-            assert out._odd_degrees() == again._odd_degrees()
+            assert out._face_of is not None and dict(out._face_of) == dict(again.face_of_dart())
+            assert out._pokes is not None and out._pokes == again._poke_counts()
             assert rebuilt_without(d, {eid}) == out
 
 
@@ -348,7 +371,7 @@ def test_removal_carries_the_segment_map():
 def test_edits_leave_their_input_unchanged():
     d = sources()["self-crossing"]
     before = (dict(d.rotation), dict(d.theta), dict(d.edge_paths), views(d), d.faces(), d.crossing_stats())
-    a, b = _entangle_options(d)[0]
+    a, b = entangle_options(d)[0]
     double_crossing_move(d, a, b)
     route_edge(d, 500, 0, 7, *shortest_dual_path(d, 0, 7))
     insert_vertex_in_face(d, d.faces()[0], [0], 501, 501)
@@ -393,12 +416,13 @@ def test_pokes_into_one_shrinking_gap_respace_and_agree_with_the_rebuild(monkeyp
     room and the map is respaced."""
     calls = counting_respaces(monkeypatch)
     out = ref = sources()["search-walk"]
-    a, b = _entangle_options(out)[0]
+    a, b = entangle_options(out)[0]
     for _ in range(30):
         dmap = order_map(out.theta, ref.theta)
+        parent = prime(out)
         out, rec = double_crossing_move(out, a, b)
         ref = rebuilt_double_crossing(ref, dmap[a], dmap[b])
-        assert_spliced(out, ref, True)
+        assert_spliced(out, ref, True, parent)
         if calls:
             break
         # The lens between the two new crossings: one side is the middle
@@ -415,7 +439,7 @@ def test_a_splice_into_gaps_leaves_untouched_darts_alone(monkeypatch):
     d = sources()["search-walk"]
     rng = random.Random(5)
     seg = d.segment_of_dart()
-    for a, b in rng.sample(_entangle_options(d), 6):
+    for a, b in rng.sample(entangle_options(d), 6):
         out = double_crossing_move(d, a, b)[0]
         edited = {seg[a][0], seg[b][0]}
         kept = [x for x in d.theta if seg[x][0] not in edited]
@@ -452,7 +476,7 @@ def test_splices_on_ids_out_of_order_stay_valid(seed):
     may take the same free id (on these seeds some poke's two gaps
     overlap)."""
     d = shuffled(perturb_even(random_planar_triangulation(9, seed), 3, seed)[0], seed)
-    for a, b in _entangle_options(d):
+    for a, b in entangle_options(d):
         out = double_crossing_move(d, a, b)[0]
         assert out.validate() == [] and out == rebuilt_double_crossing(d, a, b)
     rng = random.Random(seed)
@@ -462,6 +486,75 @@ def test_splices_on_ids_out_of_order_stay_valid(seed):
         case = (base, eid, u, v, *shortest_dual_path(base, u, v, rng))
         out = route_edge(*case)
         assert out.validate() == [] and out == rebuilt_route_edge(*case)
+
+
+@pytest.mark.parametrize("k, n", [(1, 12), (1, 13), (1, 24), (2, 12), (2, 13), (2, 24)])
+def test_a_reroute_keeps_the_drawing_exactly_when_the_rebuild_equals_it(k, n, monkeypatch):
+    """Every reroute of a seeded search against ``route_edge``: the search
+    keeps its drawing exactly when the rebuilt map, ids included, is that
+    drawing's, and otherwise gets the rebuilt map."""
+    seen = []
+
+    def checked(d, base, eid, uc, vc, crossed):
+        out = surgery.reroute_edge(d, base, eid, uc, vc, crossed)
+        ref = route_edge(base, eid, *d.graph.endpoints(eid), uc, vc, crossed)
+        same = (ref.theta, ref.rotation, ref.edge_paths) == (d.theta, d.rotation, d.edge_paths)
+        assert (out is d) == same
+        assert (out.theta, out.rotation, out.edge_paths) == (ref.theta, ref.rotation, ref.edge_paths)
+        seen.append((same, ref == d))
+        return out
+
+    monkeypatch.setattr(oracle, "reroute_edge", checked)
+    for seed in range(3):
+        extremal_search(k, n, EnumerationBudget(max_candidates=300), seed)
+    # Kept, rebuilt equal up to ids, and real moves all occur.
+    assert {(True, True), (False, True), (False, False)} <= set(seen)
+
+
+def path_plus(crossings: int) -> Drawing:
+    """The path 0-1-2, whose one face runs along both sides of each edge,
+    plus edge 2: from 0 to 2 across edge 1, which a route may cross either
+    way, or from 1 to 0 with no crossing, which may start at either of
+    vertex 1's corners."""
+    g = Multigraph((0, 1, 2), ((0, (0, 1)), (1, (1, 2))))
+    path = Drawing.crossing_free(g, {0: ((0, 0),), 1: ((0, 1), (1, 0)), 2: ((1, 1),)})
+    if crossings:
+        return route_edge(path, 2, 0, 2, path.rotation[0][0], path.rotation[2][0], [path.edge_paths[1][0]])
+    return route_edge(path, 2, 1, 0, path.rotation[1][0], path.rotation[0][0], [])
+
+
+@pytest.mark.parametrize("make, keeps", [
+    (lambda: path_plus(1), True),
+    (lambda: path_plus(0), True),
+    (k5_one_crossing, True),
+    (lambda: sources()["search-walk"], True),
+    # Ids out of canonical order: no route puts them back.
+    (lambda: shuffled(perturb_even(random_planar_triangulation(7, 2), 2, 2)[0], 2), False),
+], ids=["path-crossing", "path-parallel", "k5", "search-walk", "shuffled"])
+def test_reroute_edge_keeps_the_drawing_exactly_when_the_route_rebuilds_it(make, keeps):
+    """Every corner pair with no crossing or one, for a few edges: the
+    drawing comes back itself exactly when ``route_edge`` rebuilds its map,
+    ids included; otherwise the rebuilt map, or the same ValueError."""
+    d = make()
+    kept = built = 0
+    for eid in [e for e, (u, v) in d.graph.edges if u != v][:4]:
+        u, v = d.graph.endpoints(eid)
+        base = d.remove_edges({eid})
+        for uc in base.rotation[u] or (None,):
+            for vc in base.rotation[v] or (None,):
+                for crossed in [[], *([x] for x in base.theta)]:
+                    try:
+                        ref = route_edge(base, eid, u, v, uc, vc, crossed)
+                    except ValueError:
+                        with pytest.raises(ValueError):
+                            surgery.reroute_edge(d, base, eid, uc, vc, crossed)
+                        continue
+                    out = surgery.reroute_edge(d, base, eid, uc, vc, crossed)
+                    same = (ref.theta, ref.rotation, ref.edge_paths) == (d.theta, d.rotation, d.edge_paths)
+                    assert (out is d) == same
+                    assert (out.theta, out.rotation, out.edge_paths) == (ref.theta, ref.rotation, ref.edge_paths)
+                    kept, built = kept + same, built + (not same)
+    assert bool(kept) == keeps and built
 
 
 @pytest.mark.parametrize("seed", [3, 8])
@@ -542,7 +635,7 @@ def test_vertex_insertion_arguments_are_value_errors():
 
 def test_double_crossing_arguments_are_value_errors():
     d = random_planar_triangulation(6, 1)
-    a, b = _entangle_options(d)[0]
+    a, b = entangle_options(d)[0]
     for args in ((a, 10_000), (-1, b), (a, d.theta[a])):
         with pytest.raises(ValueError):
             double_crossing_move(d, *args)
