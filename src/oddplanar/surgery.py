@@ -27,16 +27,22 @@ are not compact.  Only a gap without room makes the kernel respace every
 id once, ``drawing.STRIDE`` apart.  ``reroute_edge`` compares the ids it
 would place with the drawing the edge came from and splices nothing when
 they, the corners and the spins are all the same.
+
+Growth does not splice: ``_grow``, behind the triangulation and
+quadrangulation generators, is the in-place kernel.  It edits one mutable
+map step by step, gives each new edge the darts ``_place`` would, ``top +
+STRIDE`` and ``top + 2 * STRIDE`` above the largest dart ``top`` so far,
+and freezes the map once, with the views a spliced drawing carries.
 """
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from itertools import accumulate, islice
 from types import MappingProxyType
 
-from .drawing import Drawing, Ending, _crossing, _endings, _norm_cyclic, _recount, _reface, _repass, _respace, _spread, spin
+from .drawing import STRIDE, Drawing, Ending, _crossing, _endings, _norm_cyclic, _recount, _reface, _repass, _respace, _spread, _walk, spin
 from .graphs import Multigraph
 
 
@@ -205,6 +211,21 @@ def _splice(d: Drawing, vertex, edges, ends, routes, splices, spins) -> Drawing:
     return out
 
 
+def _corners(face: tuple[int, ...], positions, node, real) -> tuple[list[int], list[int]]:
+    """The corner darts of ``face`` at ``positions``, in ascending order of
+    position, and their nodes, checked: each position inside the face,
+    each node a real vertex (in ``real``), no node twice."""
+    if not all(isinstance(i, int) and 0 <= i < len(face) for i in positions):
+        raise ValueError("corner position outside the face")
+    corners = [face[i] for i in sorted(positions)]
+    nodes = [node[x] for x in corners]
+    if not all(x in real for x in nodes):
+        raise ValueError("face corner is not a real vertex")
+    if len(set(nodes)) != len(nodes):
+        raise ValueError("corner nodes must be distinct")
+    return corners, nodes
+
+
 def insert_vertex_in_face(d: Drawing, face: tuple[int, ...], corner_positions: list[int],
                           new_vid: int, first_eid: int) -> Drawing:
     """Place a new vertex inside the face and join it, crossing-free, to
@@ -221,14 +242,7 @@ def insert_vertex_in_face(d: Drawing, face: tuple[int, ...], corner_positions: l
     i = bisect_left(faces, (min(face),)) if face else 0
     if faces[i : i + 1] != (_norm_cyclic(face),):
         raise ValueError("not a face of the drawing")
-    if not all(isinstance(i, int) and 0 <= i < len(face) for i in corner_positions):
-        raise ValueError("corner position outside the face")
-    corners = [face[i] for i in sorted(corner_positions)]
-    nodes = [d.dart_node(x) for x in corners]
-    if not all(x in vrot for x in nodes):
-        raise ValueError("face corner is not a real vertex")
-    if len(set(nodes)) != len(nodes):
-        raise ValueError("corner nodes must be distinct")
+    corners, nodes = _corners(face, corner_positions, d._dart_node, vrot)
     edges = [(first_eid + rank, (x, new_vid)) for rank, x in enumerate(nodes)]
     ends = {(e, 0): x for (e, _), x in zip(edges, corners)}
     # Clockwise around the new vertex = reverse of the boundary walk.
@@ -531,13 +545,64 @@ def base_triangle() -> Drawing:
 
 def _grow(d: Drawing, n: int, rng: random.Random, corners: list[int]) -> Drawing:
     """Drop new vertices into seeded random faces until there are n, each
-    joined to the face corners at positions ``corners``."""
-    eid = d.graph.m
+    joined to the face corners at positions ``corners``: the steps, draws,
+    checks and output of :func:`insert_vertex_in_face`, made in place on
+    one map (``d`` crossing-free, numbered from 0 as ``from_routes`` numbers
+    it).  Rotations are one successor map over darts and the faces one
+    list in least-dart order; a step traces only its new faces, and its new
+    edges take the darts ``top + STRIDE``, ``top + 2 * STRIDE``, ... in id
+    order, as :func:`_place` gives them.  The map is frozen once."""
+    if n <= d.graph.n:
+        return d
+    faces, order = list(d.faces()), sorted(corners)
+    theta, node, paths, seg = dict(d.theta), dict(d._dart_node), dict(d.edge_paths), d.segment_of_dart().copy()
+    succ, at = {}, {}  # at: a dart at each vertex whose rotation grew
+    for r in d.rotation.values():
+        succ.update(zip(r, r[1:] + r[:1]))
+    eid, top, edges = d.graph.m, d._top, []
     for w in range(d.graph.n, n):
-        faces = d.faces()
-        d = insert_vertex_in_face(d, faces[rng.randrange(len(faces))], corners, w, eid)
-        eid += len(corners)
-    return d
+        i = rng.randrange(len(faces))
+        face, news = faces[i], []
+        for j, x, u in zip(order, *_corners(face, corners, node, range(w))):
+            a, b = top + STRIDE, top + 2 * STRIDE
+            theta[a], theta[b] = b, a
+            seg[a], seg[b] = (eid, 0, True), (eid, 0, False)
+            node[a], node[b] = u, w
+            paths[eid], top = (a, b), b
+            edges.append((eid, (u, w)))
+            eid += 1
+            # a goes into the corner before x, right after the twin of the
+            # face dart before x (the face walk turns from it onto x).
+            succ[theta[face[j - 1]]], succ[a] = a, x
+            at[u] = a
+            news.append(a)
+        # Clockwise around w = reverse of the boundary walk.
+        bs = [theta[a] for a in news]
+        succ.update(zip(bs, bs[-1:] + bs[:-1]))
+        at[w] = bs[0]
+        # Each new face enters w along one new edge, so it runs through
+        # that edge's dart at the corner.  succ holds every dart, so the
+        # walks read no rotation.
+        del faces[i]
+        for a in news:
+            f = _walk(None, theta, None, a, succ)
+            j = f.index(min(f))
+            insort(faces, tuple(f[j:] + f[:j]))
+
+    rotation, vrot = dict(d.rotation), d.route_view()[0].copy()
+    for v, x in at.items():
+        r, y = [x], succ[x]
+        while y != x:
+            r.append(y)
+            y = succ[y]
+        rotation[v] = _norm_cyclic(tuple(r))
+        vrot[v] = _endings(seg, rotation[v])
+    out = Drawing.__new__(Drawing)
+    out._adopt(d.graph._plus(tuple(range(d.graph.n, n)), tuple(edges)), rotation, theta, paths, node, top)
+    out._segments, out._passes, out._faces = MappingProxyType(seg), {}, tuple(faces)
+    out._routes = (MappingProxyType(vrot), MappingProxyType(dict.fromkeys(paths, ())), MappingProxyType({}))
+    (out._pair_counts, out._self_counts), out._odd_deg = d._counts(), d._odd_degrees()
+    return out
 
 
 def random_planar_triangulation(n: int, seed: int) -> Drawing:
@@ -552,6 +617,8 @@ def random_planar_triangulation(n: int, seed: int) -> Drawing:
 def random_planar_drawing(n: int, seed: int, deletions: int = 0) -> Drawing:
     """Random embedded planar graph: a grown triangulation minus a seeded
     random selection of edges (isolated vertices may remain)."""
+    if deletions < 0:
+        raise ValueError("deletions must be >= 0")
     d = random_planar_triangulation(n, seed)
     if deletions:
         rng = random.Random(f"{seed}:del")

@@ -1,7 +1,8 @@
 """Reference surgery for the tests: the route-view rebuilds that
 ``insert_vertex_in_face``, ``route_edge``, ``double_crossing_move`` and
-``add_diagonals`` used before they spliced the map in place, and the
-dual-path search before it drew its own shuffles.
+``add_diagonals`` used before they spliced the map in place, the growth
+loop that spliced once per new vertex before ``surgery._grow`` grew one
+mutable map, and the dual-path search before it drew its own shuffles.
 
 Each rebuild edits a copy of the route view and materializes the result with
 ``Drawing.from_routes``, so its output has canonical ids.  Arguments are
@@ -11,6 +12,18 @@ from __future__ import annotations
 
 from oddplanar.drawing import Drawing, spin
 from oddplanar.graphs import Multigraph
+from oddplanar.surgery import insert_vertex_in_face
+
+
+def spliced_growth(d: Drawing, n: int, rng, corners) -> Drawing:
+    """``surgery._grow`` as one :func:`insert_vertex_in_face` splice per
+    new vertex, into the face that ``rng.randrange`` draws."""
+    eid = d.graph.m
+    for w in range(d.graph.n, n):
+        faces = d.faces()
+        d = insert_vertex_in_face(d, faces[rng.randrange(len(faces))], corners, w, eid)
+        eid += len(corners)
+    return d
 
 
 def rebuilt_vertex_in_face(d: Drawing, face, corner_positions, new_vid: int, first_eid: int) -> Drawing:

@@ -8,7 +8,9 @@ renaming of darts and crossing nodes onto the reference's canonical ids.
 Every view the edit carries must equal the view the raw constructor
 derives lazily from the spliced map.  No edit builds a drawing through
 ``from_routes``, and growing a triangulation or a quadrangulation traces
-all faces a bounded number of times, not once per step.
+all faces a bounded number of times, not once per step.  Growth on one
+mutable map (``surgery._grow``) equals the splice-per-vertex loop it
+replaced (``splicing.spliced_growth``) slot by slot, dict order included.
 
 Spliced ids keep their canonical relative order but are not compact: new
 ids go into the gaps between old ones, and only a gap without room
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import random
 from functools import cache
+from types import MappingProxyType
 
 import pytest
 
@@ -42,7 +45,7 @@ from oddplanar.surgery import (
 from fixtures import figure_eight, k5_one_crossing, lens_pair
 from poking import entangle_options
 from smoothing import rebuilt_without
-from splicing import rebuilt_diagonals, rebuilt_double_crossing, rebuilt_route_edge, rebuilt_vertex_in_face
+from splicing import rebuilt_diagonals, rebuilt_double_crossing, rebuilt_route_edge, rebuilt_vertex_in_face, spliced_growth
 from test_drawing_views import lazy, two_loops, views
 from test_explore_kernels import self_crossing_drawing
 from test_remove_edges import order_map, relabelled
@@ -394,6 +397,38 @@ def test_growth_traces_and_rebuilds_a_bounded_number_of_times(grow, n, monkeypat
         d = grow(n, seed)
         assert d.graph.n == n
     assert len(calls) <= 2 and len(traces) <= 2
+
+
+def fields(d: Drawing) -> list:
+    """Every slot of d, each container as the repr of its item list, so
+    equal lists mean equal values in the same key order."""
+
+    def show(v):
+        if isinstance(v, Multigraph):
+            return show((v.vertices, v.edges, v._ends, v._eids))
+        if isinstance(v, (dict, MappingProxyType)):
+            return repr(list(v.items()))
+        if isinstance(v, tuple) and v and isinstance(v[0], (dict, MappingProxyType)):
+            return [show(m) for m in v]
+        return repr(v)
+
+    return [(name, show(getattr(d, name))) for name in Drawing.__slots__]
+
+
+@pytest.mark.parametrize("seed", range(30))
+@pytest.mark.parametrize("n", ["base", "base + 1", 9, 25, 60])
+@pytest.mark.parametrize("base, corners, tag", [(surgery.base_triangle, [0, 1, 2], "tri"),
+                                                (surgery.base_square, [0, 2], "quad")])
+def test_growth_on_one_map_equals_the_splice_loop(base, corners, tag, n, seed):
+    size = base().graph.n
+    n = {"base": size, "base + 1": size + 1}.get(n, n)
+    rng, ref_rng = random.Random(f"{seed}:{tag}"), random.Random(f"{seed}:{tag}")
+    out, ref = surgery._grow(base(), n, rng, corners), spliced_growth(base(), n, ref_rng, corners)
+    assert fields(out) == fields(ref)
+    assert rng.getstate() == ref_rng.getstate()
+    assert out.validate() == [] == ref.validate()
+    assert fields(perturb_even(out, 6, seed)[0]) == fields(perturb_even(ref, 6, seed)[0])
+    assert fields(add_diagonals(out)) == fields(add_diagonals(ref))
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,14 @@ def test_random_planar_drawing_deletions():
     assert d.graph.m == 3 * 8 - 6 - 5
 
 
+@pytest.mark.parametrize("deletions", [-1, -3, -24])
+def test_random_planar_drawing_refuses_negative_deletions(deletions):
+    # A negative count used to slice from the end and delete all edges but k.
+    with pytest.raises(ValueError, match="deletions"):
+        random_planar_drawing(10, 1, deletions)
+    assert random_planar_drawing(10, 1, 0).graph.m == 3 * 10 - 6
+
+
 def test_quadrangulation_density():
     for n in (4, 6, 9):
         d = random_quadrangulation(n, 1)
